@@ -71,6 +71,7 @@ from .ecpoints import (
     is_good_prime,
     is_prime,
     match_curve,
+    match_curves,
 )
 
 __version__ = "0.1.0"

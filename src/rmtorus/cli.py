@@ -9,11 +9,12 @@ Exit codes: 0 success, 2 validation error, 3 search-cap exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
-from .ecpoints import Curve, count_points, fingerprint, match_curve
+from .ecpoints import Curve, count_points, fingerprint, match_curves
 from .freealg import star_defect, u_infinity_relation, u_infinity_system
 from .intmat import IMat2, cokernel_group, mat_det, mat_sub, mat_trace, matrix_A
 from .quadratic import QuadraticIrrational, canonicalize, cf_expand
@@ -209,8 +210,8 @@ def _load_curves(args) -> list[Curve]:
 def _cmd_match(args) -> int:
     theta = _parse_theta(args.theta, unit_interval=True)
     primes = _parse_primes(args.primes)
-    for curve in _load_curves(args):
-        report = match_curve(theta, curve, primes, cap=args.cap)
+    for report in match_curves(theta, _load_curves(args), primes, cap=args.cap):
+        curve = report.curve
         for entry in report.entries:
             row = entry.data
             _emit(
@@ -283,7 +284,10 @@ def _add_common(p: argparse.ArgumentParser, cap: bool = False) -> None:
         p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="unit power search limit")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call to
+    main; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="rmtorus",
         description="exact continued fractions, units, cokernel groups, and point counts",

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .intmat import AbelianGroup, IMat2, build_Lp, cokernel_group, mat_det, mat_pow, mat_trace, matrix_A
+from .intmat import AbelianGroup, IMat2, build_Lp, mat_det, mat_pow, mat_sub, mat_trace, matrix_A
 from .quadratic import QuadraticIrrational, cf_expand
 from .units import pi_index
 
@@ -154,8 +154,12 @@ def fingerprint(
         k = pi_index(theta, p, cap=cap)
         t = mat_trace(mat_pow(a, k))
         lp = build_Lp(t, p)
-        det_iml = mat_det(IMat2(1 - lp.a, -lp.b, -lp.c, 1 - lp.d))
-        rows.append(Fingerprint(p, k, t, lp, det_iml, cokernel_group(lp)))
+        det_iml = mat_det(mat_sub(IMat2.identity(), lp))
+        # I - L_p = [[1+p-T, -p], [1+p-T, 1-p]]: subtracting row 1 from row 2
+        # gives [[1+p-T, -p], [0, 1]], and adding p times row 2 to row 1 gives
+        # diag(1+p-T, 1).  So the cokernel is cyclic of order |1+p-T|, and Z
+        # when 1+p-T = 0 (the factor 0 of AbelianGroup).
+        rows.append(Fingerprint(p, k, t, lp, det_iml, AbelianGroup(1, abs(det_iml))))
     return rows
 
 
@@ -179,19 +183,39 @@ class MatchReport:
         return [e.data.p for e in self.entries if not e.match]
 
 
+def match_curves(
+    theta: QuadraticIrrational,
+    curves: Sequence[Curve],
+    primes: Sequence[int],
+    cap: int = 10**6,
+) -> Iterator[MatchReport]:
+    """One MatchReport per curve, lazily and in order: per good prime,
+    compare |det(I - L_p)| with |E(F_p)|.  A report records agreement where
+    it happens; it asserts nothing about whether matches must exist.
+
+    The fingerprint of each prime is computed once and shared by every curve
+    for which it is good.  Laziness keeps the order of effects: a curve's
+    report is yielded before any prime only a later curve needs is searched."""
+    rows: dict[int, Fingerprint] = {}
+    for e in curves:
+        good = [p for p in primes if is_good_prime(e, p)]
+        skipped = tuple(p for p in primes if p not in good)
+        missing = list(dict.fromkeys(p for p in good if p not in rows))
+        if missing:
+            rows.update((row.p, row) for row in fingerprint(theta, missing, cap=cap))
+        entries = []
+        for p in good:
+            row = rows[p]
+            n, _ = count_points(e, p)
+            entries.append(MatchEntry(row, n, abs(row.det_iml) == n))
+        yield MatchReport(e, tuple(entries), skipped)
+
+
 def match_curve(
     theta: QuadraticIrrational,
     e: Curve,
     primes: Sequence[int],
     cap: int = 10**6,
 ) -> MatchReport:
-    """Per good prime, compare |det(I - L_p)| with |E(F_p)|.  The report
-    records agreement where it happens; it asserts nothing about whether
-    matches must exist."""
-    good = [p for p in primes if is_good_prime(e, p)]
-    skipped = tuple(p for p in primes if p not in good)
-    entries = []
-    for row in fingerprint(theta, good, cap=cap):
-        n, _ = count_points(e, row.p)
-        entries.append(MatchEntry(row, n, abs(row.det_iml) == n))
-    return MatchReport(e, tuple(entries), skipped)
+    """match_curves for a single curve."""
+    return next(match_curves(theta, [e], primes, cap=cap))

@@ -7,6 +7,9 @@ surd enters its cycle, the period's matrix product fixes the cycle surd, and
 the bottom row of that matrix evaluates to the smallest unit > 1 of the
 multiplier ring of the lattice.  Tests certify minimality against a separate
 brute-force norm-equation sweep.
+
+The index pi(p) never forms the powers of the unit exactly: it scans the
+integer matrix of the unit reduced mod p, O(pi(p)) word-size steps.
 """
 
 from __future__ import annotations
@@ -113,15 +116,21 @@ def fundamental_unit(order: SubOrder) -> OrderElt:
 
 def pi_index(theta: QuadraticIrrational, p: int, cap: int = 10**6) -> int:
     """Least k >= 1 with eps^k in Z + (p*theta)Z, i.e. p divides the theta
-    coordinate of eps^k.  Raises SearchLimitExceeded beyond cap steps."""
+    coordinate of eps^k.  Raises SearchLimitExceeded beyond cap steps.
+
+    A mod-p scan in O(pi(p)) word-size steps, exact for every lattice
+    Z + Z*theta, ring or not: the unit multiplies the lattice into itself,
+    so its matrix M on {1, theta} is integral, and the first column of M^k
+    holds the coordinates of eps^k."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    eps = fundamental_unit(SubOrder(theta, 1))
-    acc = eps
+    m = matrix_of(fundamental_unit(SubOrder(theta, 1)))
+    a, b, c, d = m.a % p, m.b % p, m.c % p, m.d % p
+    x, y = a, c
     for k in range(1, cap + 1):
-        if acc.y % p == 0:
+        if y == 0:
             return k
-        acc = elt_mul(acc, eps)
+        x, y = (a * x + b * y) % p, (c * x + d * y) % p
     raise SearchLimitExceeded(f"no power of the fundamental unit within {cap} steps for p={p}")
 
 

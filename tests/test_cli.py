@@ -4,6 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from rmtorus import ecpoints
 from rmtorus.cli import main
 
 
@@ -152,6 +153,45 @@ class TestMatch:
     def test_requires_some_curve(self):
         code, _, err = run_cli("match", "--primes", "5", "--", "-1,2,1")
         assert code == 2
+
+    def _match_cli(self, tmp_path, curves, primes, *extra):
+        path = tmp_path / "curves.csv"
+        path.write_text("".join(c + "\n" for c in curves[1:]), encoding="utf-8")
+        args = ["match", f"--curve={curves[0]}", "--primes", primes, *extra]
+        if len(curves) > 1:
+            args += ["--curves-file", str(path)]
+        return run_cli(*args, "--", "-1,2,1")
+
+    def test_one_pi_index_call_per_prime(self, tmp_path, monkeypatch):
+        # bad primes: (1,1) at 2 and 31, (2,3) at 2, 3, 5 and 11, (0,1) at 2 and 3
+        curves = ["1,1", "2,3", "0,1"]
+        primes = "2,3,5,7,11,13,31,37"
+        singles = [self._match_cli(tmp_path, [c], primes) for c in curves]
+        calls = []
+        real = ecpoints.pi_index
+
+        def counting(theta, p, cap):
+            calls.append(p)
+            return real(theta, p, cap=cap)
+
+        monkeypatch.setattr(ecpoints, "pi_index", counting)
+        code, out, _ = self._match_cli(tmp_path, curves, primes)
+        assert code == 0
+        assert sorted(calls) == [5, 7, 11, 13, 31, 37]
+        assert all(c == 0 for c, _, _ in singles)
+        assert out == "".join(o for _, o, _ in singles)
+
+    def test_cap_exhaustion_after_earlier_curves(self, tmp_path):
+        # pi(5) = 3 but pi(31) = 30: only the second curve needs p = 31 (the
+        # first has bad reduction there), so the first curve's lines come out
+        # before the search cap ends the run
+        curves = ["1,1", "0,1"]
+        first = self._match_cli(tmp_path, curves[:1], "5,31", "--cap", "3")
+        second = self._match_cli(tmp_path, curves[1:], "5,31", "--cap", "3")
+        code, out, err = self._match_cli(tmp_path, curves, "5,31", "--cap", "3")
+        assert (first[0], second[0], second[1]) == (0, 3, "")
+        assert code == 3 and "p=31" in err
+        assert out == first[1] and out.count("\n") == 2
 
     def test_deterministic_bytes(self):
         args = ("match", "--curve", "0,1", "--primes", "5,7,11,13", "--", "-1,2,1")

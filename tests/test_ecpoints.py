@@ -14,7 +14,7 @@ from rmtorus.ecpoints import (
     is_prime,
     match_curve,
 )
-from rmtorus.intmat import IMat2, mat_det, mat_sub
+from rmtorus.intmat import AbelianGroup, IMat2, build_Lp, cokernel_group, mat_det, mat_sub
 from rmtorus.quadratic import canonicalize
 
 SQRT2M1 = canonicalize(-1, 2, 1)
@@ -122,6 +122,17 @@ class TestFingerprint:
                 order = row.group.order()
                 if row.det_iml != 0:
                     assert order == abs(row.det_iml)
+
+    def test_closed_form_group_matches_snf(self):
+        # fingerprint reads the cokernel of I - L_p off det(I - L_p); SNF
+        # must agree for 1+p-T positive, zero and negative
+        for p in primes_up_to(60):
+            for t in range(-40, 2 * p + 40):
+                expected = cokernel_group(build_Lp(t, p))
+                assert AbelianGroup(1, abs(1 + p - t)) == expected, (t, p)
+        for theta in (SQRT2M1, GOLDEN):
+            for row in fingerprint(theta, primes_up_to(200)):
+                assert row.group == cokernel_group(row.Lp)
 
     def test_row_validation(self):
         with pytest.raises(ValueError):

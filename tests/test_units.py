@@ -23,6 +23,26 @@ SQRT3M1 = canonicalize(-1, 3, 1)
 THETAS = [SQRT2M1, GOLDEN, SQRT3M1]
 PRIMES = [2, 3, 5, 7, 11, 13]
 
+# the 16 surds of the match-sweep benchmark, P,D,Q; six of them span
+# lattices Z + Z*theta that are not rings
+SWEEP_SURDS = [
+    (-1, 5, 2), (-1, 2, 1), (-3, 13, 2), (-1, 3, 1), (-2, 5, 1), (-3, 21, 2), (-2, 8, 1), (-3, 10, 1),
+    (-2, 10, 2), (-3, 17, 2), (-4, 26, 2), (-5, 37, 3), (-3, 24, 3), (-2, 7, 1), (-5, 65, 5), (-4, 65, 7),
+]
+PRIMES_BELOW_600 = [p for p in range(2, 600) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def exact_pi_index(theta, p, cap=10**6):
+    """Oracle: the exact search pi_index used to run, multiplying OrderElts
+    through Fraction arithmetic until p divides the theta coordinate."""
+    eps = fundamental_unit(SubOrder(theta, 1))
+    acc = eps
+    for k in range(1, cap + 1):
+        if acc.y % p == 0:
+            return k
+        acc = elt_mul(acc, eps)
+    raise SearchLimitExceeded(f"no power within {cap} steps for p={p}")
+
 
 def brute_force_unit(theta, conductor=1, vmax=100000):
     """Oracle: sweep the theta-coordinate of x + y*theta upward (y a multiple
@@ -194,6 +214,29 @@ class TestPiIndex:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             pi_index(SQRT2M1, 1)
+
+    @pytest.mark.parametrize("surd", SWEEP_SURDS, ids=lambda t: ",".join(map(str, t)))
+    def test_mod_p_scan_matches_exact_search(self, surd):
+        # every prime below 600, those dividing the discriminant included
+        theta = canonicalize(*surd)
+        for p in PRIMES_BELOW_600:
+            assert pi_index(theta, p) == exact_pi_index(theta, p), p
+
+    def test_sweep_includes_non_ring_lattices(self):
+        non_rings = [
+            s for s in SWEEP_SURDS
+            if canonicalize(*s).trace().denominator != 1 or canonicalize(*s).norm().denominator != 1
+        ]
+        assert non_rings == [(-2, 10, 2), (-4, 26, 2), (-5, 37, 3), (-3, 24, 3), (-5, 65, 5), (-4, 65, 7)]
+
+    def test_cap_boundary(self):
+        for surd in SWEEP_SURDS:
+            theta = canonicalize(*surd)
+            for p in (2, 3, 5, 7, 13, 599):
+                k = pi_index(theta, p)
+                assert pi_index(theta, p, cap=k) == k
+                with pytest.raises(SearchLimitExceeded):
+                    pi_index(theta, p, cap=k - 1)
 
 
 class TestMatrixOf:
