@@ -9,7 +9,6 @@ from .quadratic import (
     canonicalize,
     cf_expand,
     cf_value,
-    conj_trace_norm,
 )
 from .intmat import (
     AbelianGroup,

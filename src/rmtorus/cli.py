@@ -93,14 +93,19 @@ def _flat(value) -> str:
 
 
 def _emit(obj: dict, fmt: str) -> None:
-    if fmt == "tsv":
-        print("\t".join(_flat(v) for v in obj.values()))
-    else:
-        print(json.dumps(obj, separators=(",", ":")))
-
-
-def _mat_rows(m: IMat2) -> list[list[int]]:
-    return [[m.a, m.b], [m.c, m.d]]
+    # Exact results (T grows with pi(p), A with the period) can pass the
+    # int-to-str digit limit, which is there to guard the parsing of input;
+    # lift it only while the output is formatted.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "tsv":
+            line = "\t".join(_flat(v) for v in obj.values())
+        else:
+            line = json.dumps(obj, separators=(",", ":"))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    print(line)
 
 
 def _cmd_cfrac(args) -> int:
@@ -126,7 +131,7 @@ def _cmd_matrix(args) -> int:
     _emit(
         {
             "period": list(period),
-            "A": _mat_rows(a),
+            "A": a.rows(),
             "trace": mat_trace(a),
             "det": mat_det(a),
         },
@@ -156,7 +161,7 @@ def _cmd_lp(args) -> int:
         {
             "pi": row.pi,
             "T": row.T,
-            "Lp": _mat_rows(row.Lp),
+            "Lp": row.Lp.rows(),
             "detImL": row.det_iml,
             "group": [row.group.d1, row.group.d2],
         },
@@ -173,7 +178,7 @@ def _cmd_group(args) -> int:
     g = cokernel_group(l)
     _emit(
         {
-            "L": _mat_rows(l),
+            "L": l.rows(),
             "detImL": mat_det(mat_sub(IMat2.identity(), l)),
             "group": [g.d1, g.d2],
         },

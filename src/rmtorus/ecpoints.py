@@ -2,10 +2,8 @@
 two ways, and the per-prime fingerprint pipeline that compares the cokernel
 group order |det(I - L_p)| with the curve's point count.
 
-The two counting loops are the hot kernels of the package.  A compiled
-backend (rmtorus._ecount, Cython) is used when it imported successfully and
-the prime fits in a machine word; otherwise the pure-Python fallbacks below
-run.  Both backends implement the same exact integer arithmetic.
+The character sum in count_points is the one point-count kernel, in pure
+Python; count_points_naive is the independent O(p^2) oracle for tests.
 """
 
 from __future__ import annotations
@@ -18,14 +16,7 @@ from .intmat import AbelianGroup, IMat2, build_Lp, mat_det, mat_pow, mat_sub, ma
 from .quadratic import QuadraticIrrational, cf_expand
 from .units import pi_index
 
-try:
-    from . import _ecount
-except ImportError:
-    _ecount = None
-
-BACKEND = "compiled" if _ecount is not None else "python"
-
-_COMPILED_LIMIT = 2**31  # products must fit in signed 64-bit in the kernels
+BACKEND = "python"  # name of the point-count kernel, for reports
 
 
 @dataclass(frozen=True)
@@ -74,10 +65,11 @@ def _require_good(e: Curve, p: int) -> None:
         raise ValueError(f"p={p} is not a good prime for {e}")
 
 
-def _naive_count_py(a: int, b: int, p: int) -> int:
+def count_points_naive(e: Curve, p: int) -> int:
+    """|E(F_p)| by full O(p^2) enumeration; the independent oracle."""
+    _require_good(e, p)
+    a, b = e.a % p, e.b % p
     count = 1  # point at infinity
-    a %= p
-    b %= p
     for x in range(p):
         rhs = ((x * x % p) * x + a * x + b) % p
         for y in range(p):
@@ -86,34 +78,18 @@ def _naive_count_py(a: int, b: int, p: int) -> int:
     return count
 
 
-def _charsum_count_py(a: int, b: int, p: int) -> int:
-    e = (p - 1) // 2
-    a %= p
-    b %= p
+def count_points(e: Curve, p: int) -> tuple[int, int]:
+    """(|E(F_p)|, a_p) via the quadratic-character sum; a_p = p + 1 - count."""
+    _require_good(e, p)
+    a, b = e.a % p, e.b % p
+    half = (p - 1) // 2
     s = 0
     for x in range(p):
         v = ((x * x % p) * x + a * x + b) % p
         if v == 0:
             continue
-        s += 1 if pow(v, e, p) == 1 else -1
-    return p + 1 + s
-
-
-def count_points_naive(e: Curve, p: int) -> int:
-    """|E(F_p)| by full O(p^2) enumeration; the independent oracle."""
-    _require_good(e, p)
-    if _ecount is not None and p < _COMPILED_LIMIT:
-        return _ecount.naive_count(e.a, e.b, p)
-    return _naive_count_py(e.a, e.b, p)
-
-
-def count_points(e: Curve, p: int) -> tuple[int, int]:
-    """(|E(F_p)|, a_p) via the quadratic-character sum; a_p = p + 1 - count."""
-    _require_good(e, p)
-    if _ecount is not None and p < _COMPILED_LIMIT:
-        n = _ecount.charsum_count(e.a, e.b, p)
-    else:
-        n = _charsum_count_py(e.a, e.b, p)
+        s += 1 if pow(v, half, p) == 1 else -1
+    n = p + 1 + s
     ap = p + 1 - n
     if ap * ap > 4 * p:
         raise ArithmeticError(f"count {n} violates |a_p| <= 2*sqrt({p})")

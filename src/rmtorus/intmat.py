@@ -103,10 +103,11 @@ def matrix_A(period: Sequence[int]) -> IMat2:
         raise ValueError("period must be nonempty")
     if any(a < 1 for a in period):
         raise ValueError("period entries must be >= 1")
-    result = IMat2.identity()
+    m00, m01, m10, m11 = 1, 0, 0, 1
     for a in period:
-        result = mat_mul(result, IMat2(a, 1, 1, 0))
-    return result
+        # right-multiply by [[a, 1], [1, 0]]
+        m00, m01, m10, m11 = m00 * a + m01, m00, m10 * a + m11, m10
+    return IMat2(m00, m01, m10, m11)
 
 
 def build_Lp(T: int, p: int) -> IMat2:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .intmat import matrix_A
+
 
 def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
@@ -186,20 +188,12 @@ def cf_value(cf: ContinuedFraction) -> QuadraticIrrational:
     The periodic tail y > 1 solves the fixed-point equation of the period's
     matrix product; the preperiod is then unwound exactly.
     """
-    m00, m01, m10, m11 = 1, 0, 0, 1
-    for a in cf.period:
-        m00, m01, m10, m11 = m00 * a + m01, m00, m10 * a + m11, m10
-    # m10*y^2 + (m11 - m00)*y - m01 = 0,  root with y > 1
-    B = m00 - m11
-    disc = B * B + 4 * m01 * m10
-    value = _from_parts(B, 1, disc, 2 * m10)
+    m = matrix_A(cf.period)
+    # c*y^2 + (d - a)*y - b = 0 for m = [[a, b], [c, d]],  root with y > 1
+    B = m.a - m.d
+    disc = B * B + 4 * m.b * m.c
+    value = _from_parts(B, 1, disc, 2 * m.c)
     for a in reversed(cf.preperiod):
         value = _mobius(value, a, 1, 1, 0)
     return value
 
-
-def conj_trace_norm(
-    theta: QuadraticIrrational,
-) -> tuple[QuadraticIrrational, Fraction, Fraction]:
-    """Conjugate (P - sqrt(D))/Q together with the exact trace and norm."""
-    return theta.conjugate(), theta.trace(), theta.norm()

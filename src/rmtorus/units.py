@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmat import IMat2
+from .intmat import IMat2, matrix_A
 from .quadratic import QuadraticIrrational, _expand_cycle, _mobius
 
 
@@ -97,14 +97,13 @@ def fundamental_unit(order: SubOrder) -> OrderElt:
     f = order.conductor
     psi = _mobius(theta, f, 0, 0, 1) if f != 1 else theta
     _, period, cyc = _expand_cycle(psi)
-    m00, m01, m10, m11 = 1, 0, 0, 1
-    for a in period:
-        m00, m01, m10, m11 = m00 * a + m01, m00, m10 * a + m11, m10
-    # the cycle surd is fixed by the period matrix, so m10*cyc + m11 is a unit
-    # multiplying the lattice into itself; rewrite it on the basis {1, psi}
+    m = matrix_A(period)
+    # the cycle surd is fixed by the period matrix, so its bottom row gives
+    # the unit c*cyc + d multiplying the lattice into itself; rewrite it on
+    # the basis {1, psi}
     assert cyc.D == psi.D
-    x = Fraction(m10 * (cyc.P - psi.P) + m11 * cyc.Q, cyc.Q)
-    y_psi = Fraction(m10 * psi.Q, cyc.Q)
+    x = Fraction(m.c * (cyc.P - psi.P) + m.d * cyc.Q, cyc.Q)
+    y_psi = Fraction(m.c * psi.Q, cyc.Q)
     eps = OrderElt(
         _as_int(x, "unit x"),
         _as_int(y_psi, "unit y") * f,

@@ -1,11 +1,14 @@
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from rmtorus import ecpoints
 from rmtorus.cli import main
+from rmtorus.intmat import mat_pow, mat_trace, matrix_A
+from rmtorus.quadratic import canonicalize, cf_expand
 
 
 def run_cli(*args):
@@ -250,3 +253,50 @@ class TestParsing:
     def test_unknown_command_rejected(self):
         code, _, _ = run_cli("frobnicate")
         assert code == 2
+
+
+class TestLongIntegers:
+    """Exact results past the 4300-digit int-to-str limit are printed; the
+    limit still guards input parsing and is restored after every request."""
+
+    LARGE = [
+        ["matrix", "--", "-31622,1000000007,1"],
+        ["unit", "--", "-31622,1000000007,1"],
+        ["pi", "--p", "11351", "--", "-1,2,1"],
+        ["lp", "--p", "11351", "--", "-1,2,1"],
+        ["match", "--curve", "0,1", "--primes", "11351", "--", "-1,2,1"],
+    ]
+
+    def test_large_outputs_exit_zero(self):
+        limit = sys.get_int_max_str_digits()
+        for cmd in self.LARGE:
+            code, out, err = run_cli(*cmd)
+            assert code == 0, (cmd, err)
+            assert err == ""
+            assert len(out) > 4300
+            assert sys.get_int_max_str_digits() == limit
+
+    def test_pi_trace_is_exact(self):
+        code, out, _ = run_cli("pi", "--p", "11351", "--", "-1,2,1")
+        assert code == 0
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            row = json.loads(out)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        a = matrix_A(cf_expand(canonicalize(-1, 2, 1)).period)
+        assert row["trace_Apow"] == mat_trace(mat_pow(a, row["pi"]))
+        assert row["trace_Apow"] > 10**4300
+
+    def test_tsv(self):
+        code, out, _ = run_cli("lp", "--output", "tsv", "--p", "11351", "--", "-1,2,1")
+        assert code == 0
+        assert len(out.split("\t")[1]) > 4300
+
+    def test_huge_input_token_still_rejected(self):
+        limit = sys.get_int_max_str_digits()
+        code, _, err = run_cli("pi", "--p", "7" * 5000, "--", "-1,2,1")
+        assert code == 2
+        assert "invalid int value" in err
+        assert sys.get_int_max_str_digits() == limit

@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from rmtorus import ecpoints
 from rmtorus.ecpoints import (
     Curve,
     Fingerprint,
@@ -72,20 +71,6 @@ class TestCounts:
                 assert n == count_points_naive(curve, p)
                 assert abs(ap) <= hasse_bound(p)
                 assert ap * ap <= 4 * p
-
-    def test_backends_agree(self):
-        if ecpoints._ecount is None:
-            pytest.skip("compiled backend not built")
-        for curve in FIXED_CURVES[:2]:
-            for p in (5, 97, 199):
-                if not is_good_prime(curve, p):
-                    continue
-                assert ecpoints._ecount.naive_count(curve.a, curve.b, p) == ecpoints._naive_count_py(
-                    curve.a, curve.b, p
-                )
-                assert ecpoints._ecount.charsum_count(curve.a, curve.b, p) == ecpoints._charsum_count_py(
-                    curve.a, curve.b, p
-                )
 
     def test_count_equals_frobenius_determinant(self):
         # companion matrix with trace a_p and determinant p plays Frobenius:

@@ -15,10 +15,24 @@ from rmtorus.intmat import (
     matrix_A,
     smith_normal_form,
 )
+from rmtorus.quadratic import canonicalize, cf_expand, cf_value
+from rmtorus.units import SubOrder, fundamental_unit
 
 
 def random_period(rng, max_len=6, max_entry=9):
     return [rng.randint(1, max_entry) for _ in range(rng.randint(1, max_len))]
+
+
+def fold_matrix_A(period):
+    """Reference period product: one IMat2 factor per term, folded by mat_mul."""
+    result = IMat2.identity()
+    for a in period:
+        result = mat_mul(result, IMat2(a, 1, 1, 0))
+    return result
+
+
+# sqrt(1000033) - 1000 in (0, 1): the period of sqrt(1000033) has 1165 terms
+LONG_THETA = canonicalize(-1000, 1000033, 1)
 
 
 class TestMatrixA:
@@ -50,6 +64,23 @@ class TestMatrixA:
             matrix_A([])
         with pytest.raises(ValueError):
             matrix_A([1, 0])
+
+    def test_matches_fold_random(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            per = random_period(rng, max_len=40, max_entry=rng.choice((3, 50, 10**6)))
+            assert matrix_A(per) == fold_matrix_A(per)
+
+    def test_long_period(self):
+        cf = cf_expand(LONG_THETA)
+        assert len(cf.period) == 1165
+        a = matrix_A(cf.period)
+        assert a == fold_matrix_A(cf.period)
+        assert mat_det(a) == (-1) ** len(cf.period)
+        # both other users of the period product, on the same long period
+        assert cf_value(cf) == LONG_THETA
+        eps = fundamental_unit(SubOrder(LONG_THETA))
+        assert abs(eps.norm()) == 1
 
 
 class TestArithmetic:

@@ -9,7 +9,6 @@ from rmtorus.quadratic import (
     canonicalize,
     cf_expand,
     cf_value,
-    conj_trace_norm,
 )
 
 
@@ -218,27 +217,26 @@ class TestValue:
 
 class TestConjTraceNorm:
     def test_sqrt2_minus_1(self):
-        conj, tr, nm = conj_trace_norm(canonicalize(-1, 2, 1))
-        assert conj == canonicalize(1, 2, -1)
-        assert tr == -2
-        assert nm == -1
+        t = canonicalize(-1, 2, 1)
+        assert t.conjugate() == canonicalize(1, 2, -1)
+        assert t.trace() == -2
+        assert t.norm() == -1
 
     def test_golden_numerator(self):
-        _, tr, nm = conj_trace_norm(canonicalize(1, 5, 2))
-        assert tr == 1
-        assert nm == -1
+        t = canonicalize(1, 5, 2)
+        assert t.trace() == 1
+        assert t.norm() == -1
 
     def test_sqrt3(self):
-        _, tr, nm = conj_trace_norm(canonicalize(0, 3, 1))
-        assert tr == 0
-        assert nm == -3
+        t = canonicalize(0, 3, 1)
+        assert t.trace() == 0
+        assert t.norm() == -3
 
     def test_conjugate_float(self):
         rng = random.Random(31)
         for _ in range(30):
             t = random_canonical(rng, 800)
-            conj, tr, nm = conj_trace_norm(t)
             x = approx_value(t)
-            y = approx_value(conj)
-            assert abs((x + y) - tr) < 1e-9
-            assert abs(x * y - nm) < 1e-9
+            y = approx_value(t.conjugate())
+            assert abs((x + y) - t.trace()) < 1e-9
+            assert abs(x * y - t.norm()) < 1e-9
