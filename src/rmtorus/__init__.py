@@ -23,13 +23,9 @@ from .intmat import (
     smith_normal_form,
 )
 from .units import (
-    OrderElt,
     SearchLimitExceeded,
     SubOrder,
-    elt_mul,
-    elt_pow,
     fundamental_unit,
-    matrix_of,
     pi_index,
 )
 from .skewlaurent import (

@@ -142,8 +142,8 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_unit(args) -> int:
     theta = _parse_theta(args.theta, unit_interval=True)
-    eps = fundamental_unit(SubOrder(theta, args.conductor))
-    _emit({"x": eps.x, "y": eps.y, "norm": int(eps.norm())}, args.output)
+    m = fundamental_unit(SubOrder(theta, args.conductor))
+    _emit({"x": m.a, "y": args.conductor * m.c, "norm": mat_det(m)}, args.output)
     return 0
 
 

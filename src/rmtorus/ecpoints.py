@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator, Sequence
 
-from .intmat import AbelianGroup, IMat2, build_Lp, mat_det, mat_pow, mat_sub, mat_trace, matrix_A
-from .quadratic import QuadraticIrrational, cf_expand
-from .units import pi_index
+from .intmat import AbelianGroup, IMat2, build_Lp, mat_det, mat_pow, mat_sub, mat_trace
+from .quadratic import QuadraticIrrational
+from .units import SubOrder, fundamental_unit, pi_index
 
 BACKEND = "python"  # name of the point-count kernel, for reports
 
@@ -121,14 +121,17 @@ def fingerprint(
     theta: QuadraticIrrational, primes: Sequence[int], cap: int = 10**6
 ) -> list[Fingerprint]:
     """For each p: the index pi(p), T = tr(A^pi(p)) for the period matrix A of
-    theta, the matrix L_p, det(I - L_p), and the cokernel group."""
-    a = matrix_A(cf_expand(theta).period)
+    theta, the matrix L_p, det(I - L_p), and the cokernel group.
+
+    Both pi(p) and T come from the one unit matrix M: A and M share the
+    eigenvalues eps and its conjugate, so tr(A^k) = tr(M^k)."""
+    unit = fundamental_unit(SubOrder(theta))
     rows = []
     for p in primes:
         if p < 2:
             raise ValueError("primes must be >= 2")
-        k = pi_index(theta, p, cap=cap)
-        t = mat_trace(mat_pow(a, k))
+        k = pi_index(unit, p, cap=cap)
+        t = mat_trace(mat_pow(unit, k))
         lp = build_Lp(t, p)
         det_iml = mat_det(mat_sub(IMat2.identity(), lp))
         # I - L_p = [[1+p-T, -p], [1+p-T, 1-p]]: subtracting row 1 from row 2

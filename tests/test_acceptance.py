@@ -47,7 +47,7 @@ from rmtorus.skewlaurent import (
     verify_example2,
 )
 from rmtorus.freealg import relation_preserved, star_defect, u_infinity_relation, u_infinity_system
-from rmtorus.units import SubOrder, elt_pow, fundamental_unit, matrix_of, pi_index
+from rmtorus.units import SubOrder, fundamental_unit, pi_index
 
 SQRT2M1 = canonicalize(-1, 2, 1)
 GOLDEN = canonicalize(-1, 5, 2)
@@ -101,13 +101,16 @@ def crit_matrix_invariant():
 @criterion(3, "unit pipeline: pi-index vs sub-order units, trace link", budget=5.0)
 def crit_unit_pipeline():
     for theta in (SQRT2M1, GOLDEN, SQRT3M1):
-        eps = fundamental_unit(SubOrder(theta, 1))
+        m = fundamental_unit(SubOrder(theta, 1))
         a = matrix_A(cf_expand(theta).period)
         for p in (2, 3, 5, 7, 11, 13):
-            k = pi_index(theta, p)
-            power = elt_pow(eps, k)
-            assert power == fundamental_unit(SubOrder(theta, p))
-            assert mat_trace(matrix_of(power)) == mat_trace(mat_pow(a, k))
+            k = pi_index(m, p)
+            power = mat_pow(m, k)
+            # first columns: the coordinates of eps^k and of the unit of
+            # Z + (p*theta)Z, read on {1, theta}
+            sub = fundamental_unit(SubOrder(theta, p))
+            assert (power.a, power.c) == (sub.a, p * sub.c)
+            assert mat_trace(power) == mat_trace(mat_pow(a, k))
 
 
 @criterion(4, "det(I - L_p) = 1 + p - tr(A^pi(p)) incl. worked values -30, -1", budget=5.0)

@@ -70,6 +70,22 @@ class TestPi:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "cmd",
+        [
+            ["pi", "--p", "3"],
+            ["lp", "--p", "3"],
+            ["match", "--curve", "0,1", "--primes", "5,7"],
+        ],
+        ids=lambda c: c[0],
+    )
+    @pytest.mark.parametrize("cap", ["0", "-4"])
+    def test_cap_below_one_is_bad_input(self, cmd, cap):
+        code, out, err = run_cli(*cmd, "--cap", cap, "--", "-1,2,1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: cap must be >= 1\n"
+
 
 class TestLp:
     def test_worked_pipeline(self):
@@ -173,9 +189,9 @@ class TestMatch:
         calls = []
         real = ecpoints.pi_index
 
-        def counting(theta, p, cap):
+        def counting(unit, p, cap):
             calls.append(p)
-            return real(theta, p, cap=cap)
+            return real(unit, p, cap=cap)
 
         monkeypatch.setattr(ecpoints, "pi_index", counting)
         code, out, _ = self._match_cli(tmp_path, curves, primes)

@@ -13,6 +13,7 @@ from rmtorus.ecpoints import (
     is_prime,
     match_curve,
 )
+from rmtorus import ecpoints, units
 from rmtorus.intmat import AbelianGroup, IMat2, build_Lp, cokernel_group, mat_det, mat_sub
 from rmtorus.quadratic import canonicalize
 
@@ -118,6 +119,27 @@ class TestFingerprint:
         for theta in (SQRT2M1, GOLDEN):
             for row in fingerprint(theta, primes_up_to(200)):
                 assert row.group == cokernel_group(row.Lp)
+
+    @pytest.mark.parametrize(
+        "primes", [[2], [5, 7, 11], primes_up_to(200)], ids=lambda ps: f"{len(ps)}primes"
+    )
+    def test_one_unit_per_call(self, primes, monkeypatch):
+        # one fundamental_unit call however many primes; no continued
+        # fraction or period matrix of its own
+        calls = []
+        real = units.fundamental_unit
+
+        def counting(order):
+            calls.append(order)
+            return real(order)
+
+        for mod in (units, ecpoints):
+            monkeypatch.setattr(mod, "fundamental_unit", counting, raising=False)
+        for name in ("cf_expand", "matrix_A"):
+            monkeypatch.setattr(ecpoints, name, None, raising=False)
+        for theta in (SQRT2M1, GOLDEN):
+            fingerprint(theta, primes)
+        assert calls == [units.SubOrder(SQRT2M1), units.SubOrder(GOLDEN)]
 
     def test_row_validation(self):
         with pytest.raises(ValueError):

@@ -79,8 +79,7 @@ class TestMatrixA:
         assert mat_det(a) == (-1) ** len(cf.period)
         # both other users of the period product, on the same long period
         assert cf_value(cf) == LONG_THETA
-        eps = fundamental_unit(SubOrder(LONG_THETA))
-        assert abs(eps.norm()) == 1
+        assert abs(mat_det(fundamental_unit(SubOrder(LONG_THETA)))) == 1
 
 
 class TestArithmetic:

@@ -1,20 +1,13 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from rmtorus.intmat import mat_pow, mat_trace, matrix_A
+from rmtorus.ecpoints import fingerprint
+from rmtorus.intmat import IMat2, mat_det, mat_mul, mat_pow, mat_trace, matrix_A
 from rmtorus.quadratic import canonicalize, cf_expand
-from rmtorus.units import (
-    OrderElt,
-    SearchLimitExceeded,
-    SubOrder,
-    elt_mul,
-    elt_pow,
-    fundamental_unit,
-    matrix_of,
-    pi_index,
-)
+from rmtorus.units import SearchLimitExceeded, SubOrder, fundamental_unit, pi_index
 
 SQRT2M1 = canonicalize(-1, 2, 1)
 GOLDEN = canonicalize(-1, 5, 2)
@@ -32,10 +25,43 @@ SWEEP_SURDS = [
 PRIMES_BELOW_600 = [p for p in range(2, 600) if all(p % d for d in range(2, math.isqrt(p) + 1))]
 
 
+def unit(theta, conductor=1):
+    return fundamental_unit(SubOrder(theta, conductor))
+
+
+def coords(m, conductor=1):
+    """(x, y) with eps = x + y*theta, for the matrix m of eps on {1, f*theta}."""
+    return m.a, conductor * m.c
+
+
+@dataclass(frozen=True)
+class Elt:
+    """x + y*theta, for the exact product below."""
+
+    x: int
+    y: int
+    theta: object
+
+
+def elt_mul(a, b):
+    """Oracle: exact product of x + y*theta through Fraction arithmetic,
+    expanding theta^2 = tr(theta)*theta - nm(theta); independent of the
+    matrices the library holds units in."""
+    if a.theta != b.theta:
+        raise ValueError("elements live over different theta")
+    tr = a.theta.trace()
+    nm = a.theta.norm()
+    x = Fraction(a.x * b.x) - a.y * b.y * nm
+    y = Fraction(a.x * b.y + a.y * b.x) + a.y * b.y * tr
+    if x.denominator != 1 or y.denominator != 1:
+        raise ValueError(f"product leaves the lattice: {x} + {y}*theta")
+    return Elt(int(x), int(y), a.theta)
+
+
 def exact_pi_index(theta, p, cap=10**6):
-    """Oracle: the exact search pi_index used to run, multiplying OrderElts
+    """Oracle: the exact search pi_index used to run, multiplying x + y*theta
     through Fraction arithmetic until p divides the theta coordinate."""
-    eps = fundamental_unit(SubOrder(theta, 1))
+    eps = Elt(*coords(unit(theta)), theta)
     acc = eps
     for k in range(1, cap + 1):
         if acc.y % p == 0:
@@ -49,7 +75,8 @@ def brute_force_unit(theta, conductor=1, vmax=100000):
     of the conductor) and solve the norm equation |x^2 + x*y*tr + y^2*nm| = 1
     for integer x.  The fundamental unit is the smallest candidate > 1 found
     at the first y admitting any; two units can share that y (golden ratio:
-    phi and phi^2 both have coordinate 1), so all roots are compared."""
+    phi and phi^2 both have coordinate 1), so all roots are compared.
+    Returns its coordinates (x, y)."""
     tr = theta.trace()
     nm = theta.norm()
     approx = (theta.P + math.sqrt(theta.D)) / theta.Q
@@ -72,66 +99,69 @@ def brute_force_unit(theta, conductor=1, vmax=100000):
                 if x.denominator == 1 and x + y * approx > 1 + 1e-9:
                     hits.append(int(x))
         if hits:
-            return OrderElt(min(hits), y, theta)
+            return min(hits), y
     raise AssertionError("oracle sweep exhausted")
 
 
 class TestEltMul:
+    """The exact product behind exact_pi_index, checked on its own."""
+
     def test_identity(self):
-        a = OrderElt(1, 1, SQRT2M1)
-        one = OrderElt(1, 0, SQRT2M1)
+        a = Elt(1, 1, SQRT2M1)
+        one = Elt(1, 0, SQRT2M1)
         assert elt_mul(a, one) == a
 
     def test_sqrt2_square(self):
         theta = canonicalize(0, 2, 1)
-        sq = elt_mul(OrderElt(1, 1, theta), OrderElt(1, 1, theta))
-        assert sq == OrderElt(3, 2, theta)
+        sq = elt_mul(Elt(1, 1, theta), Elt(1, 1, theta))
+        assert sq == Elt(3, 2, theta)
 
     def test_golden_square_against_expansion_oracle(self):
         # (1 + theta)^2 expanded symbolically: 1 + 2*theta + theta^2 with
         # theta^2 = tr*theta - nm = -theta + 1, so the square is 2 + theta
-        sq = elt_mul(OrderElt(1, 1, GOLDEN), OrderElt(1, 1, GOLDEN))
-        assert sq == OrderElt(2, 1, GOLDEN)
+        sq = elt_mul(Elt(1, 1, GOLDEN), Elt(1, 1, GOLDEN))
+        assert sq == Elt(2, 1, GOLDEN)
 
     def test_mismatched_theta(self):
         with pytest.raises(ValueError):
-            elt_mul(OrderElt(1, 1, SQRT2M1), OrderElt(1, 1, GOLDEN))
+            elt_mul(Elt(1, 1, SQRT2M1), Elt(1, 1, GOLDEN))
 
     def test_product_outside_order_rejected(self):
         # (1+sqrt(5))/3 has trace 2/3, so Z + Z*theta is not closed under
         # multiplication and the integrality assertion must fire
         theta = canonicalize(1, 5, 3)
         with pytest.raises(ValueError):
-            elt_mul(OrderElt(0, 1, theta), OrderElt(0, 1, theta))
+            elt_mul(Elt(0, 1, theta), Elt(0, 1, theta))
 
     def test_float_cross_check(self):
         for theta in THETAS:
             x = (theta.P + math.sqrt(theta.D)) / theta.Q
-            a = OrderElt(2, 3, theta)
-            b = OrderElt(-1, 4, theta)
+            a = Elt(2, 3, theta)
+            b = Elt(-1, 4, theta)
             prod = elt_mul(a, b)
             assert abs((2 + 3 * x) * (-1 + 4 * x) - (prod.x + prod.y * x)) < 1e-9
 
 
 class TestFundamentalUnit:
     def test_sqrt2(self):
-        eps = fundamental_unit(SubOrder(SQRT2M1, 1))
-        assert eps == OrderElt(2, 1, SQRT2M1)  # 1 + sqrt(2)
+        assert unit(SQRT2M1) == IMat2(2, 1, 1, 0)  # 1 + sqrt(2) = 2 + theta
 
     def test_golden(self):
-        eps = fundamental_unit(SubOrder(GOLDEN, 1))
-        assert eps == OrderElt(1, 1, GOLDEN)
+        assert unit(GOLDEN) == IMat2(1, 1, 1, 0)  # phi = 1 + theta
 
     def test_conductor_three(self):
-        eps3 = fundamental_unit(SubOrder(SQRT2M1, 3))
-        assert eps3 == OrderElt(29, 12, SQRT2M1)  # 17 + 12*sqrt(2)
-        eps = fundamental_unit(SubOrder(SQRT2M1, 1))
-        assert elt_pow(eps, 4) == eps3
+        m3 = unit(SQRT2M1, 3)
+        assert coords(m3, 3) == (29, 12)  # 17 + 12*sqrt(2)
+        assert mat_trace(m3) == 34
+        assert mat_det(m3) == 1
+        power = mat_pow(unit(SQRT2M1), 4)
+        assert power == IMat2(29, 12, 12, 5)
+        assert (power.a, power.c) == coords(m3, 3)
 
     def test_matches_brute_force(self):
         for theta in THETAS:
             for f in (1, 2, 3, 5):
-                assert fundamental_unit(SubOrder(theta, f)) == brute_force_unit(theta, f)
+                assert coords(unit(theta, f), f) == brute_force_unit(theta, f)
 
     def test_pell_table(self):
         # fundamental units of Z[sqrt(d)] as (x, y) with x + y*sqrt(d)
@@ -148,33 +178,54 @@ class TestFundamentalUnit:
             14: (15, 4),
             46: (24335, 3588),
         }
-        for d, (x, y) in table.items():
-            theta = canonicalize(0, d, 1)
-            assert fundamental_unit(SubOrder(theta, 1)) == OrderElt(x, y, theta)
+        for d, xy in table.items():
+            assert coords(unit(canonicalize(0, d, 1))) == xy
 
     def test_matches_brute_force_sqrt_family(self):
         for d in range(2, 40):
             if math.isqrt(d) ** 2 == d:
                 continue
             theta = canonicalize(0, d, 1)
-            assert fundamental_unit(SubOrder(theta, 1)) == brute_force_unit(theta)
+            assert coords(unit(theta)) == brute_force_unit(theta)
 
     def test_shifted_theta_same_multiplier_ring(self):
         # theta = -5 + sqrt(2) spans the same lattice as sqrt(2) up to shift;
         # the unit 1 + sqrt(2) picks up the shift in its coordinates
         theta = canonicalize(-5, 2, 1)
-        eps = fundamental_unit(SubOrder(theta, 1))
-        assert eps == OrderElt(6, 1, theta)
-        assert eps == brute_force_unit(theta)
+        assert coords(unit(theta)) == (6, 1)
+        assert coords(unit(theta)) == brute_force_unit(theta)
 
     def test_non_integral_theta(self):
         # (1+sqrt(5))/3 rescales to (3+sqrt(45))/9; its multiplier ring is the
         # conductor-6 ring of the golden field, with unit 161 + 72*sqrt(5)
         theta = canonicalize(1, 5, 3)
-        eps = fundamental_unit(SubOrder(theta, 1))
-        assert abs(eps.norm()) == 1
-        value = eps.x + eps.y * (theta.P + math.sqrt(theta.D)) / theta.Q
+        m = unit(theta)
+        assert abs(mat_det(m)) == 1
+        value = m.a + m.c * (theta.P + math.sqrt(theta.D)) / theta.Q
         assert abs(value - (161 + 72 * math.sqrt(5))) < 1e-6
+
+    @pytest.mark.parametrize(
+        "surd, f, xy",
+        [
+            ((-600, 734400, 900), 3, (8499, 5250)),
+            ((-1760, 868800, -1600), 2, (3464374800583343401, -2058991560014844000)),
+        ],
+    )
+    def test_conductor_unit_of_non_ring_lattice(self, surd, f, xy):
+        # Z + Z*theta is not a ring here, and the unit of Z + (f*theta)Z has a
+        # non-integral matrix on {1, theta}; on {1, f*theta} it is integral
+        theta = canonicalize(*surd)
+        assert theta.trace().denominator != 1
+        m = unit(theta, f)
+        assert coords(m, f) == xy
+        assert all(type(v) is int for v in (m.a, m.b, m.c, m.d))
+        assert mat_det(m) == 1
+        x, y = xy
+        assert (x + y * theta.trace()).denominator != 1 or (y * theta.norm()).denominator != 1
+
+    def test_conductor_unit_of_non_ring_lattice_brute_force(self):
+        theta = canonicalize(-600, 734400, 900)
+        assert coords(unit(theta, 3), 3) == brute_force_unit(theta, 3)
 
     def test_bad_conductor(self):
         with pytest.raises(ValueError):
@@ -183,9 +234,9 @@ class TestFundamentalUnit:
 
 class TestPiIndex:
     def test_worked_values(self):
-        assert pi_index(SQRT2M1, 2) == 2  # eps^2 = 3 + 2*sqrt(2)
-        assert pi_index(SQRT2M1, 3) == 4  # eps^4 = 17 + 12*sqrt(2)
-        assert pi_index(GOLDEN, 2) == 3  # Fibonacci: F_3 = 2 first even
+        assert pi_index(unit(SQRT2M1), 2) == 2  # eps^2 = 3 + 2*sqrt(2)
+        assert pi_index(unit(SQRT2M1), 3) == 4  # eps^4 = 17 + 12*sqrt(2)
+        assert pi_index(unit(GOLDEN), 2) == 3  # Fibonacci: F_3 = 2 first even
 
     def test_golden_fibonacci_oracle(self):
         # phi^k = F_{k-1} + F_k * phi on the numerator basis; over theta =
@@ -193,34 +244,40 @@ class TestPiIndex:
         fib = [0, 1]
         while len(fib) < 40:
             fib.append(fib[-1] + fib[-2])
-        eps = fundamental_unit(SubOrder(GOLDEN, 1))
+        m = unit(GOLDEN)
         for k in range(1, 20):
-            assert elt_pow(eps, k).y == fib[k]
+            assert mat_pow(m, k).c == fib[k]
         for p in PRIMES:
             expected = next(k for k in range(1, 40) if fib[k] % p == 0)
-            assert pi_index(GOLDEN, p) == expected
+            assert pi_index(m, p) == expected
 
     def test_agreement_with_suborder_units(self):
         for theta in THETAS:
-            eps = fundamental_unit(SubOrder(theta, 1))
+            m = unit(theta)
             for p in PRIMES:
-                k = pi_index(theta, p)
-                assert elt_pow(eps, k) == fundamental_unit(SubOrder(theta, p))
+                power = mat_pow(m, pi_index(m, p))
+                assert (power.a, power.c) == coords(unit(theta, p), p)
 
     def test_cap(self):
         with pytest.raises(SearchLimitExceeded):
-            pi_index(SQRT2M1, 3, cap=2)
+            pi_index(unit(SQRT2M1), 3, cap=2)
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
-            pi_index(SQRT2M1, 1)
+            pi_index(unit(SQRT2M1), 1)
+
+    @pytest.mark.parametrize("cap", [0, -4])
+    def test_rejects_cap_below_one(self, cap):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            pi_index(unit(SQRT2M1), 3, cap=cap)
 
     @pytest.mark.parametrize("surd", SWEEP_SURDS, ids=lambda t: ",".join(map(str, t)))
     def test_mod_p_scan_matches_exact_search(self, surd):
         # every prime below 600, those dividing the discriminant included
         theta = canonicalize(*surd)
+        m = unit(theta)
         for p in PRIMES_BELOW_600:
-            assert pi_index(theta, p) == exact_pi_index(theta, p), p
+            assert pi_index(m, p) == exact_pi_index(theta, p), p
 
     def test_sweep_includes_non_ring_lattices(self):
         non_rings = [
@@ -231,64 +288,80 @@ class TestPiIndex:
 
     def test_cap_boundary(self):
         for surd in SWEEP_SURDS:
-            theta = canonicalize(*surd)
+            m = unit(canonicalize(*surd))
             for p in (2, 3, 5, 7, 13, 599):
-                k = pi_index(theta, p)
-                assert pi_index(theta, p, cap=k) == k
-                with pytest.raises(SearchLimitExceeded):
-                    pi_index(theta, p, cap=k - 1)
+                k = pi_index(m, p)
+                assert pi_index(m, p, cap=k) == k
+                # a cap of 0 is bad input, not an exhausted search
+                with pytest.raises(SearchLimitExceeded if k > 1 else ValueError):
+                    pi_index(m, p, cap=k - 1)
 
 
-class TestMatrixOf:
+class TestUnitMatrix:
     def test_examples(self):
-        m = matrix_of(OrderElt(2, 1, SQRT2M1))  # 1 + sqrt(2)
+        # the trace and determinant of a unit's matrix are its trace and norm
+        m = unit(SQRT2M1)  # 1 + sqrt(2)
         assert mat_trace(m) == 2
-        assert m.a * m.d - m.b * m.c == -1
+        assert mat_det(m) == -1
 
-        m = matrix_of(OrderElt(1, 1, GOLDEN))
+        m = unit(GOLDEN)
         assert mat_trace(m) == 1
-        assert m.a * m.d - m.b * m.c == -1
+        assert mat_det(m) == -1
 
-        m = matrix_of(OrderElt(29, 12, SQRT2M1))  # 17 + 12*sqrt(2)
+        m = mat_pow(unit(SQRT2M1), 4)  # 17 + 12*sqrt(2)
         assert mat_trace(m) == 34
-        assert m.a * m.d - m.b * m.c == 1
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            matrix_of(OrderElt(2, 0, SQRT2M1))
+        assert mat_det(m) == 1
 
     def test_non_integral_theta_unit_matrix(self):
         # theta = (1+sqrt(5))/3: the multiplier ring is the conductor-6 ring
         # of the golden field; its unit has integral matrix entries because
         # the theta-coordinate absorbs the trace/norm denominators
-        theta = canonicalize(1, 5, 3)
-        eps = fundamental_unit(SubOrder(theta, 1))
-        assert eps == OrderElt(89, 216, theta)  # 161 + 72*sqrt(5)
-        m = matrix_of(eps)
+        m = unit(canonicalize(1, 5, 3))
+        assert coords(m) == (89, 216)  # 161 + 72*sqrt(5)
         assert mat_trace(m) == 322
-        assert m.a * m.d - m.b * m.c == 1
+        assert mat_det(m) == 1
+
+    def test_product_is_exact_product(self):
+        # mat_mul of unit matrices is the exact product of the units
+        for surd in SWEEP_SURDS:
+            theta = canonicalize(*surd)
+            m = unit(theta)
+            eps = Elt(*coords(m), theta)
+            acc, power = eps, m
+            for _ in range(6):
+                acc, power = elt_mul(acc, eps), mat_mul(power, m)
+                assert (power.a, power.c) == (acc.x, acc.y)
 
 
 class TestInvariants:
     def test_norm_multiplicative_on_powers(self):
         for theta in THETAS:
-            eps = fundamental_unit(SubOrder(theta, 1))
-            n1 = eps.norm()
+            m = unit(theta)
+            n1 = mat_det(m)
             for k in range(1, 21):
-                assert elt_pow(eps, k).norm() == n1**k
+                assert mat_det(mat_pow(m, k)) == n1**k
 
     def test_trace_links_unit_and_period_matrix(self):
         for theta in THETAS:
-            eps = fundamental_unit(SubOrder(theta, 1))
+            m = unit(theta)
             a = matrix_A(cf_expand(theta).period)
             for k in range(1, 11):
-                assert mat_trace(matrix_of(elt_pow(eps, k))) == mat_trace(mat_pow(a, k))
+                assert mat_trace(mat_pow(m, k)) == mat_trace(mat_pow(a, k))
+
+    @pytest.mark.parametrize("surd", SWEEP_SURDS, ids=lambda t: ",".join(map(str, t)))
+    def test_fingerprint_trace_matches_period_matrix(self, surd):
+        # fingerprint takes T from the unit's matrix; the period matrix A of
+        # theta must give the same tr(A^pi)
+        theta = canonicalize(*surd)
+        a = matrix_A(cf_expand(theta).period)
+        for row in fingerprint(theta, PRIMES_BELOW_600):
+            assert row.T == mat_trace(mat_pow(a, row.pi)), row.p
 
     def test_coefficient_growth(self):
         # nondecreasing throughout, strict from the second step on; the golden
         # ratio ties at the first step (Fibonacci F_1 = F_2 = 1)
         for theta in THETAS:
-            eps = fundamental_unit(SubOrder(theta, 1))
-            ys = [elt_pow(eps, k).y for k in range(1, 21)]
+            m = unit(theta)
+            ys = [mat_pow(m, k).c for k in range(1, 21)]
             assert all(b >= a for a, b in zip(ys, ys[1:]))
             assert all(b > a for a, b in zip(ys[1:], ys[2:]))
