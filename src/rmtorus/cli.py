@@ -1,7 +1,8 @@
-"""Command-line front end.  Every subcommand wraps one library operation and
-emits machine-readable output: compact JSON (default) or tab-separated values
-with the same field order.  All numbers are exact integers; nothing is ever
-printed through floating point.
+"""Command-line front end.  Each subcommand is one row of COMMANDS: its
+handler wraps one library operation and yields the objects it prints, which
+main emits as compact JSON (default) or tab-separated values with the same
+field order (skew-demo yields text lines).  All numbers are exact integers;
+nothing is ever printed through floating point.
 
 Exit codes: 0 success, 2 validation error, 3 search-cap exhaustion.
 """
@@ -35,15 +36,19 @@ from .units import SearchLimitExceeded, SubOrder, fundamental_unit
 DEFAULT_CAP = 10**6
 
 
-def _parse_theta(token: str, unit_interval: bool = False) -> QuadraticIrrational:
+def _ints(token: str, n: int, what: str) -> list[int]:
+    """The n comma-separated integers of token; `what` names the expected form."""
     parts = token.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"theta must be three integers P,D,Q, got {token!r}")
-    try:
-        p, d, q = (int(s) for s in parts)
-    except ValueError:
-        raise ValueError(f"theta must be three integers P,D,Q, got {token!r}") from None
-    theta = canonicalize(p, d, q)
+    if len(parts) == n:
+        try:
+            return [int(s) for s in parts]
+        except ValueError:
+            pass
+    raise ValueError(f"{what}, got {token!r}")
+
+
+def _parse_theta(token: str, unit_interval: bool = True) -> QuadraticIrrational:
+    theta = canonicalize(*_ints(token, 3, "theta must be three integers P,D,Q"))
     # the invariant pipeline assumes 0 < theta < 1; plain cfrac does not
     if unit_interval and theta.floor() != 0:
         raise ValueError(f"theta = ({token}) must lie in (0,1) for this command")
@@ -51,14 +56,7 @@ def _parse_theta(token: str, unit_interval: bool = False) -> QuadraticIrrational
 
 
 def _parse_curve(token: str) -> Curve:
-    parts = token.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"curve must be two integers a,b, got {token!r}")
-    try:
-        a, b = (int(s) for s in parts)
-    except ValueError:
-        raise ValueError(f"curve must be two integers a,b, got {token!r}") from None
-    return Curve(a, b)
+    return Curve(*_ints(token, 2, "curve must be two integers a,b"))
 
 
 def _parse_primes(token: str) -> list[int]:
@@ -70,29 +68,23 @@ def _parse_primes(token: str) -> list[int]:
 
 def _parse_gauss(token: str):
     parts = token.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected re,im with rational parts, got {token!r}")
-    try:
-        return gr(Fraction(parts[0]), Fraction(parts[1]))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"expected re,im with rational parts, got {token!r}") from None
+    if len(parts) == 2:
+        try:
+            return gr(Fraction(parts[0]), Fraction(parts[1]))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"expected re,im with rational parts, got {token!r}")
 
 
 def _flat(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, list):
-        out = []
-        for v in value:
-            if isinstance(v, list):
-                out.extend(_flat(x) for x in v)
-            else:
-                out.append(_flat(v))
-        return ",".join(out)
+        return ",".join(_flat(v) for v in value)
     return str(value)
 
 
-def _emit(obj: dict, fmt: str) -> None:
+def _emit(obj, fmt: str) -> None:
     # Exact results (T grows with pi(p), A with the period) can pass the
     # int-to-str digit limit, which is there to guard the parsing of input;
     # lift it only while the output is formatted.
@@ -101,97 +93,64 @@ def _emit(obj: dict, fmt: str) -> None:
     try:
         if fmt == "tsv":
             line = "\t".join(_flat(v) for v in obj.values())
-        else:
+        elif fmt == "json":
             line = json.dumps(obj, separators=(",", ":"))
+        else:
+            line = obj
     finally:
         sys.set_int_max_str_digits(limit)
     print(line)
 
 
-def _cmd_cfrac(args) -> int:
-    theta = _parse_theta(args.theta)
+def _cmd_cfrac(args):
+    theta = _parse_theta(args.theta, unit_interval=False)
     cf = cf_expand(theta)
-    _emit(
-        {
-            "P": theta.P,
-            "D": theta.D,
-            "Q": theta.Q,
-            "preperiod": list(cf.preperiod),
-            "period": list(cf.period),
-        },
-        args.output,
-    )
-    return 0
+    yield {
+        "P": theta.P,
+        "D": theta.D,
+        "Q": theta.Q,
+        "preperiod": list(cf.preperiod),
+        "period": list(cf.period),
+    }
 
 
-def _cmd_matrix(args) -> int:
-    theta = _parse_theta(args.theta, unit_interval=True)
-    period = cf_expand(theta).period
+def _cmd_matrix(args):
+    period = cf_expand(_parse_theta(args.theta)).period
     a = matrix_A(period)
-    _emit(
-        {
-            "period": list(period),
-            "A": a.rows(),
-            "trace": mat_trace(a),
-            "det": mat_det(a),
-        },
-        args.output,
-    )
-    return 0
+    yield {"period": list(period), "A": a.rows(), "trace": mat_trace(a), "det": mat_det(a)}
 
 
-def _cmd_unit(args) -> int:
-    theta = _parse_theta(args.theta, unit_interval=True)
-    m = fundamental_unit(SubOrder(theta, args.conductor))
-    _emit({"x": m.a, "y": args.conductor * m.c, "norm": mat_det(m)}, args.output)
-    return 0
+def _cmd_unit(args):
+    m = fundamental_unit(SubOrder(_parse_theta(args.theta), args.conductor))
+    yield {"x": m.a, "y": args.conductor * m.c, "norm": mat_det(m)}
 
 
-def _cmd_pi(args) -> int:
-    theta = _parse_theta(args.theta, unit_interval=True)
-    row = fingerprint(theta, [args.p], cap=args.cap)[0]
-    _emit({"pi": row.pi, "trace_Apow": row.T}, args.output)
-    return 0
+def _cmd_pi(args):
+    row = fingerprint(_parse_theta(args.theta), [args.p], cap=args.cap)[0]
+    yield {"pi": row.pi, "trace_Apow": row.T}
 
 
-def _cmd_lp(args) -> int:
-    theta = _parse_theta(args.theta, unit_interval=True)
-    row = fingerprint(theta, [args.p], cap=args.cap)[0]
-    _emit(
-        {
-            "pi": row.pi,
-            "T": row.T,
-            "Lp": row.Lp.rows(),
-            "detImL": row.det_iml,
-            "group": [row.group.d1, row.group.d2],
-        },
-        args.output,
-    )
-    return 0
+def _cmd_lp(args):
+    row = fingerprint(_parse_theta(args.theta), [args.p], cap=args.cap)[0]
+    yield {
+        "pi": row.pi,
+        "T": row.T,
+        "Lp": row.Lp.rows(),
+        "detImL": row.det_iml,
+        "group": [row.group.d1, row.group.d2],
+    }
 
 
-def _cmd_group(args) -> int:
-    parts = args.matrix.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"matrix must be four integers a,b,c,d, got {args.matrix!r}")
-    l = IMat2(*(int(s) for s in parts))
+def _cmd_group(args):
+    l = IMat2(*_ints(args.matrix, 4, "matrix must be four integers a,b,c,d"))
     g = cokernel_group(l)
-    _emit(
-        {
-            "L": l.rows(),
-            "detImL": mat_det(mat_sub(IMat2.identity(), l)),
-            "group": [g.d1, g.d2],
-        },
-        args.output,
-    )
-    return 0
+    yield {"L": l.rows(), "detImL": mat_det(mat_sub(IMat2.identity(), l)), "group": [g.d1, g.d2]}
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     curve = _parse_curve(args.curve)
     n, ap = count_points(curve, args.p)
-    _emit({"curve": [curve.a, curve.b], "p": args.p, "count": n, "a_p": ap}, args.output)
-    return 0
+    yield {"curve": [curve.a, curve.b], "p": args.p, "count": n, "a_p": ap}
 
 
 def _load_curves(args) -> list[Curve]:
@@ -212,81 +171,116 @@ def _load_curves(args) -> list[Curve]:
     return curves
 
 
-def _cmd_match(args) -> int:
-    theta = _parse_theta(args.theta, unit_interval=True)
+def _cmd_match(args):
+    theta = _parse_theta(args.theta)
     primes = _parse_primes(args.primes)
     for report in match_curves(theta, _load_curves(args), primes, cap=args.cap):
-        curve = report.curve
+        curve = [report.curve.a, report.curve.b]
         for entry in report.entries:
             row = entry.data
-            _emit(
-                {
-                    "p": row.p,
-                    "pi": row.pi,
-                    "T": row.T,
-                    "detImL": row.det_iml,
-                    "group": [row.group.d1, row.group.d2],
-                    "curve": [curve.a, curve.b],
-                    "ec_count": entry.ec_count,
-                    "match": entry.match,
-                },
-                args.output,
-            )
-        _emit(
-            {
-                "curve": [curve.a, curve.b],
-                "matching": report.matching(),
-                "mismatching": report.mismatching(),
-                "skipped": list(report.skipped),
-            },
-            args.output,
-        )
-    return 0
+            yield {
+                "p": row.p,
+                "pi": row.pi,
+                "T": row.T,
+                "detImL": row.det_iml,
+                "group": [row.group.d1, row.group.d2],
+                "curve": curve,
+                "ec_count": entry.ec_count,
+                "match": entry.match,
+            }
+        yield {
+            "curve": curve,
+            "matching": report.matching(),
+            "mismatching": report.mismatching(),
+            "skipped": list(report.skipped),
+        }
 
 
-def _cmd_skew_demo(args) -> int:
+def _cmd_skew_demo(args):
+    """Text lines, not objects: skew-demo has no --output."""
     alpha = shift_by_one()
     t = SkewPoly.term(alpha, 1, UP_ONE)
     ut = SkewPoly.term(alpha, 1, UP_U)
     u0 = SkewPoly.term(alpha, 0, UP_U)
     tinv = SkewPoly.term(alpha, -1, UP_ONE)
-    print(f"twist: {alpha}")
-    print(f"relation x1*x2 - x2*x1 - x1^2 == 0 with x1 = t, x2 = u*t: {verify_example2()}")
-    print()
+    yield f"twist: {alpha}"
+    yield f"relation x1*x2 - x2*x1 - x1^2 == 0 with x1 = t, x2 = u*t: {verify_example2()}"
+    yield ""
     basis = [("u", u0), ("t", t), ("t^-1", tinv), ("u*t", ut)]
     cells = [[str(skew_mul(f, g)) for _, g in basis] for _, f in basis]
     width = max(len(s) for row in cells for s in row)
     width = max(width, max(len(name) for name, _ in basis))
     head = " * ".rjust(6) + " | " + " | ".join(name.center(width) for name, _ in basis)
-    print(head)
-    print("-" * len(head))
+    yield head
+    yield "-" * len(head)
     for (name, _), row in zip(basis, cells):
-        print(name.rjust(6) + " | " + " | ".join(s.center(width) for s in row))
-    print()
-    print(f"star(u*t) = {skew_star(ut)}")
-    return 0
+        yield name.rjust(6) + " | " + " | ".join(s.center(width) for s in row)
+    yield ""
+    yield f"star(u*t) = {skew_star(ut)}"
 
 
-def _cmd_star_check(args) -> int:
+def _cmd_star_check(args):
     alpha = AffineAut(_parse_gauss(args.p), _parse_gauss(args.q))
-    _emit({"coherent": check_star_coherent(alpha)}, args.output)
-    return 0
+    yield {"coherent": check_star_coherent(alpha)}
 
 
-def _cmd_ustar_check(args) -> int:
+def _cmd_ustar_check(args):
     defect = star_defect(u_infinity_relation(), u_infinity_system())
-    _emit({"preserved": defect.is_zero, "residual": str(defect)}, args.output)
-    return 0
+    yield {"preserved": defect.is_zero, "residual": str(defect)}
 
 
-def _add_theta(p: argparse.ArgumentParser) -> None:
-    p.add_argument("theta", help="quadratic irrational (P+sqrt(D))/Q as P,D,Q")
+_THETA = ("theta", {"help": "quadratic irrational (P+sqrt(D))/Q as P,D,Q"})
+_P = ("--p", {"type": int, "required": True})
+_CAP = ("--cap", {"type": int, "default": DEFAULT_CAP, "help": "unit power search limit"})
+_CURVE_HELP = "coefficients a,b of y^2 = x^3 + a*x + b"
 
-
-def _add_common(p: argparse.ArgumentParser, cap: bool = False) -> None:
-    p.add_argument("--output", choices=("json", "tsv"), default="json", help="output format")
-    if cap:
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="unit power search limit")
+# subcommand -> (handler, help, arguments as (name or flag, add_argument keywords));
+# every subcommand but skew-demo also takes --output
+COMMANDS = {
+    "cfrac": (_cmd_cfrac, "continued fraction expansion of theta", [_THETA]),
+    "matrix": (_cmd_matrix, "period matrix product for theta", [_THETA]),
+    "unit": (
+        _cmd_unit,
+        "fundamental unit of the (sub)lattice of theta",
+        [
+            _THETA,
+            ("--conductor", {"type": int, "default": 1, "help": "conductor f of Z + (f*theta)Z"}),
+        ],
+    ),
+    "pi": (_cmd_pi, "least unit power landing in the conductor-p sublattice", [_THETA, _P, _CAP]),
+    "lp": (_cmd_lp, "matrix L_p, det(I-L_p) and its cokernel group", [_THETA, _P, _CAP]),
+    "group": (
+        _cmd_group,
+        "cokernel Z^2/(I-L)Z^2 of an explicit matrix L",
+        [("--matrix", {"required": True, "help": "row-major entries a,b,c,d of L"})],
+    ),
+    "count": (
+        _cmd_count,
+        "point count of a curve over F_p",
+        [("--curve", {"required": True, "help": _CURVE_HELP}), _P],
+    ),
+    "match": (
+        _cmd_match,
+        "compare |det(I-L_p)| with point counts per prime",
+        [
+            _THETA,
+            ("--curve", {"help": _CURVE_HELP}),
+            ("--curves-file", {"help": "CSV file with one a,b per line"}),
+            ("--primes", {"required": True, "help": "comma-separated prime list"}),
+            _CAP,
+        ],
+    ),
+    "skew-demo": (_cmd_skew_demo, "twisted Laurent ring demo (text output)", []),
+    "star-check": (
+        _cmd_star_check,
+        "test whether conjugation commutes with u -> p*u+q",
+        [
+            ("--p", {"required": True, "help": "scale as re,im (rationals)"}),
+            ("--q", {"required": True, "help": "shift as re,im (rationals)"}),
+        ],
+    ),
+    "ustar-check": (_cmd_ustar_check, "does x1* = x2 preserve the quadratic relation?", []),
+}
 
 
 @functools.cache
@@ -298,67 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact continued fractions, units, cokernel groups, and point counts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cfrac", help="continued fraction expansion of theta")
-    _add_theta(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_cfrac)
-
-    p = sub.add_parser("matrix", help="period matrix product for theta")
-    _add_theta(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_matrix)
-
-    p = sub.add_parser("unit", help="fundamental unit of the (sub)lattice of theta")
-    _add_theta(p)
-    p.add_argument("--conductor", type=int, default=1, help="conductor f of Z + (f*theta)Z")
-    _add_common(p)
-    p.set_defaults(func=_cmd_unit)
-
-    p = sub.add_parser("pi", help="least unit power landing in the conductor-p sublattice")
-    _add_theta(p)
-    p.add_argument("--p", type=int, required=True)
-    _add_common(p, cap=True)
-    p.set_defaults(func=_cmd_pi)
-
-    p = sub.add_parser("lp", help="matrix L_p, det(I-L_p) and its cokernel group")
-    _add_theta(p)
-    p.add_argument("--p", type=int, required=True)
-    _add_common(p, cap=True)
-    p.set_defaults(func=_cmd_lp)
-
-    p = sub.add_parser("group", help="cokernel Z^2/(I-L)Z^2 of an explicit matrix L")
-    p.add_argument("--matrix", required=True, help="row-major entries a,b,c,d of L")
-    _add_common(p)
-    p.set_defaults(func=_cmd_group)
-
-    p = sub.add_parser("count", help="point count of a curve over F_p")
-    p.add_argument("--curve", required=True, help="coefficients a,b of y^2 = x^3 + a*x + b")
-    p.add_argument("--p", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("match", help="compare |det(I-L_p)| with point counts per prime")
-    _add_theta(p)
-    p.add_argument("--curve", help="coefficients a,b of y^2 = x^3 + a*x + b")
-    p.add_argument("--curves-file", help="CSV file with one a,b per line")
-    p.add_argument("--primes", required=True, help="comma-separated prime list")
-    _add_common(p, cap=True)
-    p.set_defaults(func=_cmd_match)
-
-    p = sub.add_parser("skew-demo", help="twisted Laurent ring demo (text output)")
-    p.set_defaults(func=_cmd_skew_demo)
-
-    p = sub.add_parser("star-check", help="test whether conjugation commutes with u -> p*u+q")
-    p.add_argument("--p", required=True, help="scale as re,im (rationals)")
-    p.add_argument("--q", required=True, help="shift as re,im (rationals)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_star_check)
-
-    p = sub.add_parser("ustar-check", help="does x1* = x2 preserve the quadratic relation?")
-    _add_common(p)
-    p.set_defaults(func=_cmd_ustar_check)
-
+    for name, (handler, summary, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        if name == "skew-demo":
+            p.set_defaults(output="text")
+        else:
+            p.add_argument(
+                "--output", choices=("json", "tsv"), default="json", help="output format"
+            )
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -369,13 +313,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        for obj in args.func(args):
+            _emit(obj, args.output)
     except SearchLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def entry() -> None:

@@ -1,9 +1,9 @@
-"""Elliptic curves y^2 = x^3 + a*x + b over prime fields: exact point counts
-two ways, and the per-prime fingerprint pipeline that compares the cokernel
-group order |det(I - L_p)| with the curve's point count.
+"""Elliptic curves y^2 = x^3 + a*x + b over prime fields: exact point counts,
+and the per-prime fingerprint pipeline that compares the cokernel group
+order |det(I - L_p)| with the curve's point count.
 
 The character sum in count_points is the one point-count kernel, in pure
-Python; count_points_naive is the independent O(p^2) oracle for tests.
+Python.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator, Sequence
 
-from .intmat import AbelianGroup, IMat2, build_Lp, mat_det, mat_pow, mat_sub, mat_trace
+from .intmat import AbelianGroup, IMat2, build_Lp, mat_pow, mat_trace
 from .quadratic import QuadraticIrrational
 from .units import SubOrder, fundamental_unit, pi_index
 
@@ -60,27 +60,10 @@ def is_good_prime(e: Curve, p: int) -> bool:
     return p > 3 and e.discriminant() % p != 0
 
 
-def _require_good(e: Curve, p: int) -> None:
-    if not is_good_prime(e, p):
-        raise ValueError(f"p={p} is not a good prime for {e}")
-
-
-def count_points_naive(e: Curve, p: int) -> int:
-    """|E(F_p)| by full O(p^2) enumeration; the independent oracle."""
-    _require_good(e, p)
-    a, b = e.a % p, e.b % p
-    count = 1  # point at infinity
-    for x in range(p):
-        rhs = ((x * x % p) * x + a * x + b) % p
-        for y in range(p):
-            if y * y % p == rhs:
-                count += 1
-    return count
-
-
 def count_points(e: Curve, p: int) -> tuple[int, int]:
     """(|E(F_p)|, a_p) via the quadratic-character sum; a_p = p + 1 - count."""
-    _require_good(e, p)
+    if not is_good_prime(e, p):
+        raise ValueError(f"p={p} is not a good prime for {e}")
     a, b = e.a % p, e.b % p
     half = (p - 1) // 2
     s = 0
@@ -103,25 +86,38 @@ def hasse_bound(p: int) -> int:
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Per-prime data of the unit/matrix pipeline for one theta."""
+    """Per-prime data of the unit/matrix pipeline for one theta: the prime p,
+    the index pi(p) and T = tr(A^pi(p)); L_p, det(I - L_p) and the cokernel
+    group are derived from them."""
 
     p: int
     pi: int
     T: int
-    Lp: IMat2
-    det_iml: int
-    group: AbelianGroup
 
-    def __post_init__(self):
-        if self.det_iml != 1 + self.p - self.T:
-            raise ValueError("det(I - L_p) must equal 1 + p - T")
+    @property
+    def Lp(self) -> IMat2:
+        return build_Lp(self.T, self.p)
+
+    @property
+    def det_iml(self) -> int:
+        """det(I - L_p)."""
+        return 1 + self.p - self.T
+
+    @property
+    def group(self) -> AbelianGroup:
+        # I - L_p = [[1+p-T, -p], [1+p-T, 1-p]]: subtracting row 1 from row 2
+        # gives [[1+p-T, -p], [0, 1]], and adding p times row 2 to row 1 gives
+        # diag(1+p-T, 1).  So the cokernel is cyclic of order |1+p-T|, and Z
+        # when 1+p-T = 0 (the factor 0 of AbelianGroup).
+        return AbelianGroup(1, abs(self.det_iml))
 
 
 def fingerprint(
     theta: QuadraticIrrational, primes: Sequence[int], cap: int = 10**6
 ) -> list[Fingerprint]:
-    """For each p: the index pi(p), T = tr(A^pi(p)) for the period matrix A of
-    theta, the matrix L_p, det(I - L_p), and the cokernel group.
+    """For each p: the index pi(p) and T = tr(A^pi(p)) for the period matrix A
+    of theta, from which a Fingerprint derives L_p, det(I - L_p) and the
+    cokernel group.
 
     Both pi(p) and T come from the one unit matrix M: A and M share the
     eigenvalues eps and its conjugate, so tr(A^k) = tr(M^k)."""
@@ -131,14 +127,7 @@ def fingerprint(
         if p < 2:
             raise ValueError("primes must be >= 2")
         k = pi_index(unit, p, cap=cap)
-        t = mat_trace(mat_pow(unit, k))
-        lp = build_Lp(t, p)
-        det_iml = mat_det(mat_sub(IMat2.identity(), lp))
-        # I - L_p = [[1+p-T, -p], [1+p-T, 1-p]]: subtracting row 1 from row 2
-        # gives [[1+p-T, -p], [0, 1]], and adding p times row 2 to row 1 gives
-        # diag(1+p-T, 1).  So the cokernel is cyclic of order |1+p-T|, and Z
-        # when 1+p-T = 0 (the factor 0 of AbelianGroup).
-        rows.append(Fingerprint(p, k, t, lp, det_iml, AbelianGroup(1, abs(det_iml))))
+        rows.append(Fingerprint(p, k, mat_trace(mat_pow(unit, k))))
     return rows
 
 
@@ -175,6 +164,8 @@ def match_curves(
     The fingerprint of each prime is computed once and shared by every curve
     for which it is good.  Laziness keeps the order of effects: a curve's
     report is yielded before any prime only a later curve needs is searched."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     rows: dict[int, Fingerprint] = {}
     for e in curves:
         good = [p for p in primes if is_good_prime(e, p)]

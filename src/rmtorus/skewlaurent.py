@@ -126,7 +126,6 @@ def gr(re: Rat, im: Rat = 0) -> GaussRational:
 
 GR_ZERO = gr(0)
 GR_ONE = gr(1)
-GR_I = gr(0, 1)
 
 
 @dataclass(frozen=True)

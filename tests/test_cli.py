@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import sys
@@ -6,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from rmtorus import ecpoints
-from rmtorus.cli import main
+from rmtorus.cli import DEFAULT_CAP, build_parser, main
 from rmtorus.intmat import mat_pow, mat_trace, matrix_A
 from rmtorus.quadratic import canonicalize, cf_expand
 
@@ -76,8 +77,10 @@ class TestPi:
             ["pi", "--p", "3"],
             ["lp", "--p", "3"],
             ["match", "--curve", "0,1", "--primes", "5,7"],
+            # no prime needs a search: 2 and 3 are bad for y^2 = x^3 + 1
+            ["match", "--curve", "0,1", "--primes", "2,3"],
         ],
-        ids=lambda c: c[0],
+        ids=["pi", "lp", "match", "match-no-search"],
     )
     @pytest.mark.parametrize("cap", ["0", "-4"])
     def test_cap_below_one_is_bad_input(self, cmd, cap):
@@ -257,7 +260,66 @@ class TestUstarCheck:
         assert out == '{"preserved":false,"residual":"x1^2 - x2^2"}\n'
 
 
+THETA = {"theta": (True, None, None, None)}
+OUTPUT = {"--output": (False, "json", ("json", "tsv"), None)}
+P = {"--p": (True, None, None, int)}
+CAP = {"--cap": (False, DEFAULT_CAP, None, int)}
+
+# subcommand -> {option string, or dest of a positional: (required, default, choices, type)}
+PARSER_SHAPE = {
+    "cfrac": {**THETA, **OUTPUT},
+    "matrix": {**THETA, **OUTPUT},
+    "unit": {**THETA, "--conductor": (False, 1, None, int), **OUTPUT},
+    "pi": {**THETA, **P, **OUTPUT, **CAP},
+    "lp": {**THETA, **P, **OUTPUT, **CAP},
+    "group": {"--matrix": (True, None, None, None), **OUTPUT},
+    "count": {"--curve": (True, None, None, None), **P, **OUTPUT},
+    "match": {
+        **THETA,
+        "--curve": (False, None, None, None),
+        "--curves-file": (False, None, None, None),
+        "--primes": (True, None, None, None),
+        **OUTPUT,
+        **CAP,
+    },
+    "skew-demo": {},
+    "star-check": {"--p": (True, None, None, None), "--q": (True, None, None, None), **OUTPUT},
+    "ustar-check": {**OUTPUT},
+}
+
+
 class TestParsing:
+    def test_parser_shape(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(PARSER_SHAPE)
+        for name, parser in sub.choices.items():
+            shape = {
+                (a.option_strings or [a.dest])[0]: (a.required, a.default, a.choices, a.type)
+                for a in parser._actions
+                if not isinstance(a, argparse._HelpAction)
+            }
+            assert shape == PARSER_SHAPE[name], name
+
+    def test_skew_demo_rejects_output(self):
+        code, out, _ = run_cli("skew-demo", "--output", "json")
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cfrac", "1,x,1"], "theta must be three integers P,D,Q, got '1,x,1'"),
+            (["count", "--curve", "0,y", "--p", "5"], "curve must be two integers a,b, got '0,y'"),
+            (
+                ["group", "--matrix", "1,2,x,4"],
+                "matrix must be four integers a,b,c,d, got '1,2,x,4'",
+            ),
+        ],
+        ids=["theta", "curve", "matrix"],
+    )
+    def test_malformed_token_message(self, argv, message):
+        assert run_cli(*argv) == (2, "", f"error: {message}\n")
+
     def test_help_exits_zero(self):
         code, _, _ = run_cli("--help")
         assert code == 0
