@@ -132,12 +132,13 @@ def _cmd_pi(args):
 
 def _cmd_lp(args):
     row = fingerprint(_parse_theta(args.theta), [args.p], cap=args.cap)[0]
+    g = row.group
     yield {
         "pi": row.pi,
         "T": row.T,
         "Lp": row.Lp.rows(),
         "detImL": row.det_iml,
-        "group": [row.group.d1, row.group.d2],
+        "group": [g.d1, g.d2],
     }
 
 
@@ -178,12 +179,13 @@ def _cmd_match(args):
         curve = [report.curve.a, report.curve.b]
         for entry in report.entries:
             row = entry.data
+            g = row.group
             yield {
                 "p": row.p,
                 "pi": row.pi,
                 "T": row.T,
                 "detImL": row.det_iml,
-                "group": [row.group.d1, row.group.d2],
+                "group": [g.d1, g.d2],
                 "curve": curve,
                 "ec_count": entry.ec_count,
                 "match": entry.match,

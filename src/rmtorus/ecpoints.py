@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator, Sequence
 
-from .intmat import AbelianGroup, IMat2, build_Lp, mat_pow, mat_trace
+from .intmat import AbelianGroup, IMat2, build_Lp, cokernel_group, mat_pow, mat_trace
 from .quadratic import QuadraticIrrational
 from .units import SubOrder, fundamental_unit, pi_index
 
@@ -105,11 +105,8 @@ class Fingerprint:
 
     @property
     def group(self) -> AbelianGroup:
-        # I - L_p = [[1+p-T, -p], [1+p-T, 1-p]]: subtracting row 1 from row 2
-        # gives [[1+p-T, -p], [0, 1]], and adding p times row 2 to row 1 gives
-        # diag(1+p-T, 1).  So the cokernel is cyclic of order |1+p-T|, and Z
-        # when 1+p-T = 0 (the factor 0 of AbelianGroup).
-        return AbelianGroup(1, abs(self.det_iml))
+        # gcd(p, 1 - p) = 1, so the group is cyclic
+        return cokernel_group(self.Lp)
 
 
 def fingerprint(

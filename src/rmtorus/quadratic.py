@@ -20,6 +20,12 @@ def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
+def _floor(P: int, s: int, Q: int) -> int:
+    """floor((P + sqrt(D))/Q) for s = isqrt(D): sqrt(D) is irrational, so
+    floor(P + sqrt(D)) = P + s."""
+    return (P + s) // Q if Q > 0 else (-P - s - 1) // (-Q)
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticIrrational:
     """(P + sqrt(D)) / Q with Q | D - P^2.  Build unreduced triples via canonicalize()."""
@@ -52,10 +58,7 @@ class QuadraticIrrational:
         return hash(self._key())
 
     def floor(self) -> int:
-        s = isqrt(self.D)  # sqrt(D) is irrational, so floor(P + sqrt(D)) = P + s
-        if self.Q > 0:
-            return (self.P + s) // self.Q
-        return (-self.P - s - 1) // (-self.Q)
+        return _floor(self.P, isqrt(self.D), self.Q)
 
     def trace(self) -> Fraction:
         """Sum of the value and its conjugate, 2P/Q."""
@@ -145,40 +148,38 @@ def _mobius(theta: QuadraticIrrational, a: int, b: int, c: int, d: int) -> Quadr
     return _from_parts(A * C - a * c * D, Q * det, D, den)
 
 
-def _expand_cycle(
-    theta: QuadraticIrrational,
-) -> tuple[tuple[int, ...], tuple[int, ...], QuadraticIrrational]:
-    """Run the integer recurrence until a (P, Q) state repeats.
+def _expand_cycle(theta: QuadraticIrrational) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """Run the integer recurrence on (P, Q), D fixed, until a state repeats.
 
-    Returns (preperiod, period, surd at the cycle start).  The period starts
-    at the first repeated state.  Once the surd is reduced there are O(D)
-    states; reaching the reduced range from a tall input shrinks P, Q like
-    Euclid's algorithm, so the cap gets a term linear in their bit size.
+    Returns (preperiod, period, P, Q) with (P + sqrt(D))/Q the surd at the
+    cycle start.  The period starts at the first repeated state.  Once the
+    surd is reduced there are O(D) states; reaching the reduced range from a
+    tall input shrinks P, Q like Euclid's algorithm, so the cap gets a term
+    linear in their bit size.
     """
+    D, s = theta.D, isqrt(theta.D)
+    P, Q = theta.P, theta.Q
     seen: dict[tuple[int, int], int] = {}
     quotients: list[int] = []
-    surds: list[QuadraticIrrational] = []
-    cur = theta
-    cap = 2 * theta.D + 8 * (abs(theta.P).bit_length() + abs(theta.Q).bit_length()) + 64
+    cap = 2 * D + 8 * (abs(P).bit_length() + abs(Q).bit_length()) + 64
     for _ in range(cap):
-        state = (cur.P, cur.Q)
-        if state in seen:
-            i = seen[state]
-            return tuple(quotients[:i]), tuple(quotients[i:]), surds[i]
-        seen[state] = len(quotients)
-        surds.append(cur)
-        a = cur.floor()
+        if (P, Q) in seen:
+            i = seen[P, Q]
+            return tuple(quotients[:i]), tuple(quotients[i:]), P, Q
+        seen[P, Q] = len(quotients)
+        a = _floor(P, s, Q)
         quotients.append(a)
-        # theta' = 1/(theta - a):  P' = a*Q - P,  Q' = (D - P'^2)/Q  (exact)
-        P1 = a * cur.Q - cur.P
-        Q1 = (cur.D - P1 * P1) // cur.Q
-        cur = QuadraticIrrational(P1, cur.D, Q1)
+        # theta' = 1/(theta - a):  P' = a*Q - P,  Q' = (D - P'^2)/Q
+        P = a * Q - P
+        Q, r = divmod(D - P * P, Q)
+        if r:
+            raise ValueError(f"recurrence left the integers at P={P}: Q does not divide D - P^2")
     raise RuntimeError(f"no cycle within {cap} steps; recurrence invariant broken")
 
 
 def cf_expand(theta: QuadraticIrrational) -> ContinuedFraction:
     """Minimal-period continued fraction of theta, found by exact cycle detection."""
-    pre, per, _ = _expand_cycle(theta)
+    pre, per, _, _ = _expand_cycle(theta)
     return ContinuedFraction(pre, per)
 
 

@@ -56,14 +56,13 @@ def fundamental_unit(order: SubOrder) -> IMat2:
     mat_trace(M) and mat_det(M) are its trace and norm."""
     f = order.conductor
     psi = _mobius(order.theta, f, 0, 0, 1) if f != 1 else order.theta
-    _, period, cyc = _expand_cycle(psi)
+    _, period, P, Q = _expand_cycle(psi)
     m = matrix_A(period)
-    # the cycle surd is fixed by the period matrix, so its bottom row gives
-    # the unit c*cyc + d multiplying the lattice into itself; rewrite it on
-    # the basis {1, psi}
-    assert cyc.D == psi.D
-    x = _as_int(Fraction(m.c * (cyc.P - psi.P) + m.d * cyc.Q, cyc.Q), "unit x")
-    y = _as_int(Fraction(m.c * psi.Q, cyc.Q), "unit y")
+    # the cycle surd w = (P + sqrt(D))/Q is fixed by the period matrix, so its
+    # bottom row gives the unit c*w + d multiplying the lattice into itself;
+    # rewrite it on the basis {1, psi}
+    x = _as_int(Fraction(m.c * (P - psi.P) + m.d * Q, Q), "unit x")
+    y = _as_int(Fraction(m.c * psi.Q, Q), "unit y")
     # eps*psi = x*psi + y*psi^2 with psi^2 = tr(psi)*psi - nm(psi)
     unit = IMat2(
         x,

@@ -2,6 +2,7 @@
 of them is part of the package."""
 
 from rmtorus.ecpoints import Curve, is_good_prime
+from rmtorus.intmat import AbelianGroup, IMat2, mat_det, mat_mul, mat_sub
 
 
 def count_points_naive(e: Curve, p: int) -> int:
@@ -16,3 +17,74 @@ def count_points_naive(e: Curve, p: int) -> int:
             if y * y % p == rhs:
                 count += 1
     return count
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def smith_normal_form(m: IMat2) -> tuple[IMat2, IMat2, IMat2]:
+    """Unimodular U, V and diagonal D with U*m*V = D, d1 >= 0, d1 | d2."""
+    u = IMat2.identity()
+    v = IMat2.identity()
+    w = m
+    while True:
+        # clear below-diagonal then above-diagonal; a column op can reintroduce
+        # the former, so loop until both are zero.  When a already divides the
+        # target entry a plain shear is used: the xgcd matrix would churn rows
+        # without shrinking |a| and the loop could oscillate forever.
+        while w.c != 0 or w.b != 0:
+            if w.c != 0:
+                if w.a != 0 and w.c % w.a == 0:
+                    e = IMat2(1, 0, -(w.c // w.a), 1)
+                else:
+                    g, s, t = _xgcd(w.a, w.c)
+                    e = IMat2(s, t, -(w.c // g), w.a // g)
+                w = mat_mul(e, w)
+                u = mat_mul(e, u)
+            if w.b != 0:
+                if w.a != 0 and w.b % w.a == 0:
+                    f = IMat2(1, -(w.b // w.a), 0, 1)
+                else:
+                    g, s, t = _xgcd(w.a, w.b)
+                    f = IMat2(s, -(w.b // g), t, w.a // g)
+                w = mat_mul(w, f)
+                v = mat_mul(v, f)
+        if w.a == 0 and w.d != 0:
+            swap = IMat2(0, 1, 1, 0)
+            w = mat_mul(mat_mul(swap, w), swap)
+            u = mat_mul(swap, u)
+            v = mat_mul(v, swap)
+        if w.a != 0 and w.d % w.a != 0:
+            # fold the second diagonal entry into the first and re-clear
+            e = IMat2(1, 1, 0, 1)
+            w = mat_mul(e, w)
+            u = mat_mul(e, u)
+            continue
+        break
+    if w.a < 0:
+        w = IMat2(-w.a, w.b, w.c, w.d)
+        u = IMat2(-u.a, -u.b, u.c, u.d)
+    if w.d < 0:
+        w = IMat2(w.a, w.b, w.c, -w.d)
+        u = IMat2(u.a, u.b, -u.c, -u.d)
+    assert abs(mat_det(u)) == 1 and abs(mat_det(v)) == 1
+    assert mat_mul(mat_mul(u, m), v) == w
+    return u, w, v
+
+
+def snf_cokernel(l: IMat2) -> AbelianGroup:
+    """Invariant factors of Z^2 / (I - l) Z^2 from the Smith normal form."""
+    _, d, _ = smith_normal_form(mat_sub(IMat2.identity(), l))
+    return AbelianGroup(d.a, d.d)

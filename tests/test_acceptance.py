@@ -13,7 +13,7 @@ import sys
 import time
 from contextlib import redirect_stdout
 
-from reference import count_points_naive
+from reference import count_points_naive, smith_normal_form
 from rmtorus.cli import main as cli_main
 from rmtorus.ecpoints import (
     Curve,
@@ -24,14 +24,15 @@ from rmtorus.ecpoints import (
     is_prime,
 )
 from rmtorus.intmat import (
+    AbelianGroup,
     IMat2,
+    cokernel_group,
     mat_det,
     mat_mul,
     mat_pow,
     mat_sub,
     mat_trace,
     matrix_A,
-    smith_normal_form,
 )
 from rmtorus.quadratic import canonicalize, cf_expand, cf_value
 from rmtorus.skewlaurent import (
@@ -124,7 +125,7 @@ def crit_lp_identity():
     assert worked[("golden", 2)] == -1
 
 
-@criterion(5, "SNF soundness on 500 random matrices, entries up to 10^6", budget=1.0)
+@criterion(5, "SNF soundness and cokernel_group, 500 matrices, entries up to 10^6", budget=1.0)
 def crit_snf():
     rng = random.Random(105)
     for _ in range(500):
@@ -136,6 +137,7 @@ def crit_snf():
         if d.d != 0:
             assert d.a != 0 and d.d % d.a == 0
         assert abs(d.a * d.d) == abs(mat_det(m))
+        assert cokernel_group(mat_sub(IMat2.identity(), m)) == AbelianGroup(d.a, d.d)
 
 
 @criterion(6, "point counts: character sum equals enumeration, p <= 200, Hasse", budget=10.0)

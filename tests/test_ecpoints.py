@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from reference import count_points_naive
+from reference import count_points_naive, snf_cokernel
 from rmtorus.ecpoints import (
     Curve,
     count_points,
@@ -109,15 +109,16 @@ class TestFingerprint:
                     assert order == abs(row.det_iml)
 
     def test_closed_form_group_matches_snf(self):
-        # fingerprint reads the cokernel of I - L_p off det(I - L_p); SNF
-        # must agree for 1+p-T positive, zero and negative
+        # the cokernel of I - L_p is cyclic of order |det(I - L_p)|; the SNF
+        # oracle must agree for 1+p-T positive, zero and negative
         for p in primes_up_to(60):
             for t in range(-40, 2 * p + 40):
-                expected = cokernel_group(build_Lp(t, p))
+                expected = snf_cokernel(build_Lp(t, p))
                 assert AbelianGroup(1, abs(1 + p - t)) == expected, (t, p)
+                assert cokernel_group(build_Lp(t, p)) == expected, (t, p)
         for theta in (SQRT2M1, GOLDEN):
             for row in fingerprint(theta, primes_up_to(200)):
-                assert row.group == cokernel_group(row.Lp)
+                assert row.group == snf_cokernel(row.Lp)
 
     @pytest.mark.parametrize(
         "primes", [[2], [5, 7, 11], primes_up_to(200)], ids=lambda ps: f"{len(ps)}primes"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from reference import smith_normal_form, snf_cokernel
 from rmtorus.intmat import (
     AbelianGroup,
     IMat2,
@@ -13,7 +14,6 @@ from rmtorus.intmat import (
     mat_sub,
     mat_trace,
     matrix_A,
-    smith_normal_form,
 )
 from rmtorus.quadratic import canonicalize, cf_expand, cf_value
 from rmtorus.units import SubOrder, fundamental_unit
@@ -183,6 +183,27 @@ class TestSmith:
             assert_snf_sound(m)
 
 
+def cokernel_cases(seed):
+    """Matrices M = I - l: fixed edge cases, then random ones with entries up
+    to 10^400, some with a common factor, each followed by a singular one."""
+    rng = random.Random(seed)
+    cases = [
+        IMat2(0, 0, 0, 0),
+        IMat2(2, 4, 3, 6),  # rank one
+        IMat2(-6, 9, 4, -6),  # rank one, entries with no common factor
+        IMat2(0, 5, 0, 0),
+        IMat2(4, 0, 0, 6),  # diagonal, but the invariant factors are (2, 12)
+        IMat2(12, 18, 30, 42),  # full rank with a common factor
+    ]
+    for _ in range(300):
+        g = rng.choice((1, 6, 10**50))
+        bound = rng.choice((3, 10**6, 10**400))
+        m = IMat2(*(g * rng.randint(-bound, bound) for _ in range(4)))
+        k = rng.randint(-5, 5)
+        cases += [m, IMat2(m.a, m.b, k * m.a, k * m.b)]
+    return cases
+
+
 class TestCokernel:
     def test_order_three(self):
         g = cokernel_group(IMat2(4, 2, 3, 2))
@@ -209,6 +230,20 @@ class TestCokernel:
                 assert g.order() == abs(det)
             else:
                 assert g.order() is None
+
+    def test_matches_oracle(self):
+        for m in cokernel_cases(19):
+            l = mat_sub(IMat2.identity(), m)
+            assert cokernel_group(l) == snf_cokernel(l), m
+
+    def test_matches_sympy_smith_normal_form(self):
+        sympy = pytest.importorskip("sympy")
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        for m in cokernel_cases(23):
+            d = normalforms.smith_normal_form(sympy.Matrix(m.rows()), domain=sympy.ZZ)
+            g = cokernel_group(mat_sub(IMat2.identity(), m))
+            # sympy may return negative diagonal entries
+            assert (g.d1, g.d2) == (abs(d[0, 0]), abs(d[1, 1])), m
 
     def test_group_validation(self):
         with pytest.raises(ValueError):

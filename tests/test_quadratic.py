@@ -150,6 +150,37 @@ class TestExpand:
         cf = cf_expand(t)
         assert cf_value(cf) == t
 
+    def test_long_period_builds_no_surd_per_step(self, monkeypatch):
+        # the cycle steps (P, Q) as plain integers: no QuadraticIrrational,
+        # and so no constructor check, per term of a 3702-term period
+        theta = canonicalize(-3162, 10000054, 1)
+        built = []
+        check = QuadraticIrrational.__post_init__
+        monkeypatch.setattr(
+            QuadraticIrrational, "__post_init__", lambda self: built.append(self) or check(self)
+        )
+        cf = cf_expand(theta)
+        assert len(cf.period) == 3702
+        assert len(built) <= 2
+        assert unrolled(cf, 200) == oracle_quotients(-3162, 10000054, 1, 200)
+
+    def test_broken_invariant_raises(self):
+        # (1 + sqrt(3))/3 bypassing the constructor: 3 does not divide 3 - 1
+        t = object.__new__(QuadraticIrrational)
+        for name, value in zip("PDQ", (1, 3, 3)):
+            object.__setattr__(t, name, value)
+        with pytest.raises(ValueError, match="Q does not divide D - P"):
+            cf_expand(t)
+
+    def test_matches_sympy_continued_fraction_periodic(self):
+        cfrac = pytest.importorskip("sympy.ntheory.continued_fraction")
+        rng = random.Random(43)
+        for _ in range(30):
+            t = random_canonical(rng, 1000)
+            *pre, per = cfrac.continued_fraction_periodic(t.P, t.Q, t.D)
+            cf = cf_expand(t)
+            assert (cf.preperiod, cf.period) == (tuple(pre), tuple(per)), t
+
     def test_unit_interval_preperiod_starts_with_zero(self):
         rng = random.Random(17)
         seen = 0
