@@ -1,6 +1,6 @@
-"""Exact 2x2 integer matrix algebra: period-matrix products, and the
-cokernel groups Z^2/(I - L)Z^2 read from the determinantal divisors of
-I - L."""
+"""Exact 2x2 integer matrix algebra: period-matrix products by binary
+splitting, and the cokernel groups Z^2/(I - L)Z^2 read from the
+determinantal divisors of I - L."""
 
 from __future__ import annotations
 
@@ -99,17 +99,31 @@ def mat_sub(x: IMat2, y: IMat2) -> IMat2:
 
 
 def matrix_A(period: Sequence[int]) -> IMat2:
-    """Left-to-right product of [[a_i, 1], [1, 0]] over a continued fraction
-    period; det is (-1)^len(period)."""
+    """Product of [[a_i, 1], [1, 0]] over a continued fraction period, in
+    order; det is (-1)^len(period).  Taken over a balanced tree (binary
+    splitting), so the big multiplications pair operands of equal size."""
     if not period:
         raise ValueError("period must be nonempty")
-    if any(a < 1 for a in period):
+    if min(period) < 1:
         raise ValueError("period entries must be >= 1")
-    m00, m01, m10, m11 = 1, 0, 0, 1
-    for a in period:
-        # right-multiply by [[a, 1], [1, 0]]
-        m00, m01, m10, m11 = m00 * a + m01, m00, m10 * a + m11, m10
-    return IMat2(m00, m01, m10, m11)
+    return IMat2(*_period_product(period, 0, len(period)))
+
+
+_LEAF = 32  # terms folded linearly; below this size a split does not pay
+
+
+def _period_product(period: Sequence[int], lo: int, hi: int) -> tuple[int, int, int, int]:
+    """Entries of the product over period[lo:hi], row-major."""
+    if hi - lo <= _LEAF:
+        m00, m01, m10, m11 = 1, 0, 0, 1
+        for a in period[lo:hi]:
+            # right-multiply by [[a, 1], [1, 0]]
+            m00, m01, m10, m11 = m00 * a + m01, m00, m10 * a + m11, m10
+        return m00, m01, m10, m11
+    mid = (lo + hi) // 2
+    a, b, c, d = _period_product(period, lo, mid)
+    e, f, g, h = _period_product(period, mid, hi)
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
 def build_Lp(T: int, p: int) -> IMat2:

@@ -87,9 +87,9 @@ class ContinuedFraction:
         object.__setattr__(self, "period", tuple(self.period))
         if not self.period:
             raise ValueError("period must be nonempty")
-        if any(a < 1 for a in self.period):
+        if min(self.period) < 1:
             raise ValueError("period entries must be >= 1")
-        if any(a < 1 for a in self.preperiod[1:]):
+        if min(self.preperiod[1:], default=1) < 1:
             raise ValueError("preperiod entries after the first must be >= 1")
         n = len(self.period)
         for d in range(1, n):
@@ -149,24 +149,26 @@ def _mobius(theta: QuadraticIrrational, a: int, b: int, c: int, d: int) -> Quadr
 
 
 def _expand_cycle(theta: QuadraticIrrational) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-    """Run the integer recurrence on (P, Q), D fixed, until a state repeats.
+    """Run the integer recurrence on (P, Q), D fixed, into its cycle and once
+    round it.
 
     Returns (preperiod, period, P, Q) with (P + sqrt(D))/Q the surd at the
-    cycle start.  The period starts at the first repeated state.  Once the
-    surd is reduced there are O(D) states; reaching the reduced range from a
-    tall input shrinks P, Q like Euclid's algorithm, so the cap gets a term
-    linear in their bit size.
+    cycle start.  By Galois' theorem a tail is purely periodic iff it is
+    reduced (x > 1 and -1 < x' < 0), so the period starts at the first
+    reduced state and ends when that state recurs; no state is stored.
+    Once the surd is reduced there are O(D) states; reaching the reduced
+    range from a tall input shrinks P, Q like Euclid's algorithm, so the cap
+    on steps over both phases gets a term linear in their bit size.
     """
     D, s = theta.D, isqrt(theta.D)
     P, Q = theta.P, theta.Q
-    seen: dict[tuple[int, int], int] = {}
     quotients: list[int] = []
     cap = 2 * D + 8 * (abs(P).bit_length() + abs(Q).bit_length()) + 64
     for _ in range(cap):
-        if (P, Q) in seen:
-            i = seen[P, Q]
-            return tuple(quotients[:i]), tuple(quotients[i:]), P, Q
-        seen[P, Q] = len(quotients)
+        # reduced, x > 1 and -1 < x' < 0, in integers: sqrt(D) is irrational, so
+        # P < sqrt(D) iff P <= s, and Q <= P + sqrt(D) iff Q <= P + s
+        if Q > 0 and 0 < P <= s and s - P < Q <= s + P:
+            break
         a = _floor(P, s, Q)
         quotients.append(a)
         # theta' = 1/(theta - a):  P' = a*Q - P,  Q' = (D - P'^2)/Q
@@ -174,6 +176,19 @@ def _expand_cycle(theta: QuadraticIrrational) -> tuple[tuple[int, ...], tuple[in
         Q, r = divmod(D - P * P, Q)
         if r:
             raise ValueError(f"recurrence left the integers at P={P}: Q does not divide D - P^2")
+    else:
+        raise RuntimeError(f"no cycle within {cap} steps; recurrence invariant broken")
+    pre, P0, Q0 = len(quotients), P, Q
+    # a reduced state has Q > 0 and leads to a reduced state
+    for _ in range(pre + 1, cap):
+        a = (P + s) // Q
+        quotients.append(a)
+        P = a * Q - P
+        Q, r = divmod(D - P * P, Q)
+        if r:
+            raise ValueError(f"recurrence left the integers at P={P}: Q does not divide D - P^2")
+        if P == P0 and Q == Q0:
+            return tuple(quotients[:pre]), tuple(quotients[pre:]), P0, Q0
     raise RuntimeError(f"no cycle within {cap} steps; recurrence invariant broken")
 
 

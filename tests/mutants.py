@@ -1,0 +1,139 @@
+"""Mutation check: each mutant is a small fault that the named tests must catch.
+
+Usage, from the root of the repository:
+
+    python3 tests/mutants.py [NAME ...]
+
+A mutant is (name, file, snippet, replacement, test paths).  The snippet must
+occur exactly once in its file, so a mutant whose code has moved fails loudly
+instead of going stale.  For each mutant the whole repository is copied to a
+temporary directory (pyproject.toml puts src/ on pytest's path, so a copy of
+src/ alone would be shadowed), the snippet is replaced, and pytest runs the
+named tests there.  A failing run, or one past the time limit, kills the
+mutant.  The unmutated copy must pass the same tests first.
+
+Prints one line per mutant and killed/total; exits 1 if any mutant survives.
+Standard library only; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIME_LIMIT = 60  # seconds per pytest run; a mutant that hangs is caught
+
+MUTANTS = [
+    (
+        "reduced-lower-bound-inclusive",
+        "src/rmtorus/quadratic.py",
+        "if Q > 0 and 0 < P <= s and s - P < Q <= s + P:",
+        "if Q > 0 and 0 < P <= s and s - P <= Q <= s + P:",
+        ["tests/test_quadratic.py"],
+    ),
+    (
+        "reduced-upper-bound-exclusive",
+        "src/rmtorus/quadratic.py",
+        "if Q > 0 and 0 < P <= s and s - P < Q <= s + P:",
+        "if Q > 0 and 0 < P <= s and s - P < Q < s + P:",
+        ["tests/test_quadratic.py"],
+    ),
+    (
+        "leaf-split-drops-middle-term",
+        "src/rmtorus/intmat.py",
+        "e, f, g, h = _period_product(period, mid, hi)",
+        "e, f, g, h = _period_product(period, mid + 1, hi)",
+        ["tests/test_intmat.py"],
+    ),
+    (
+        "wrong-cycle-state",
+        "src/rmtorus/quadratic.py",
+        "return tuple(quotients[:pre]), tuple(quotients[pre:]), P0, Q0",
+        "return tuple(quotients[:pre]), tuple(quotients[pre:]), theta.P, theta.Q",
+        ["tests/test_units.py"],
+    ),
+    (
+        "pi-index-loop-off-by-one",
+        "src/rmtorus/units.py",
+        "for k in range(1, cap + 1):",
+        "for k in range(1, cap):",
+        ["tests/test_units.py"],
+    ),
+    (
+        "singular-cokernel-read-as-finite",
+        "src/rmtorus/intmat.py",
+        "return AbelianGroup(d1, abs(mat_det(m)) // d1 if d1 else 0)",
+        "return AbelianGroup(d1, abs(mat_det(m)) // d1 or 1 if d1 else 0)",
+        ["tests/test_intmat.py"],
+    ),
+    (
+        "emit-leaves-digit-limit-lifted",
+        "src/rmtorus/cli.py",
+        "        sys.set_int_max_str_digits(limit)\n    print(line)",
+        "        pass\n    print(line)",
+        ["tests/test_cli.py"],
+    ),
+]
+
+
+def copy_repo(dest: Path) -> Path:
+    skip = shutil.ignore_patterns(".git", "rmbench_out", "__pycache__", ".pytest_cache")
+    shutil.copytree(ROOT, dest, ignore=skip)
+    return dest
+
+
+def run_tests(repo: Path, tests: list[str]) -> tuple[bool, str]:
+    """(passed, what failed first) of pytest on the given paths inside the copy."""
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(
+            cmd, cwd=repo, env=env, capture_output=True, text=True, timeout=TIME_LIMIT
+        )
+    except subprocess.TimeoutExpired:
+        return False, f"timed out after {TIME_LIMIT} s"
+    failed = [line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    return done.returncode == 0, failed[0] if failed else done.stdout.strip()[-200:]
+
+
+def apply(repo: Path, path: str, snippet: str, replacement: str) -> None:
+    target = repo / path
+    text = target.read_text()
+    found = text.count(snippet)
+    if found != 1:
+        raise SystemExit(f"{path}: the snippet {snippet!r} occurs {found} times, expected once")
+    target.write_text(text.replace(snippet, replacement))
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"unknown mutants: {', '.join(sorted(unknown))}")
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="rmtorus-mutants-") as tmp:
+        clean = copy_repo(Path(tmp) / "clean")
+        baseline = sorted({t for m in chosen for t in m[4]})
+        passed, failed = run_tests(clean, baseline)
+        if not passed:
+            raise SystemExit(f"the unmutated tests fail: {failed}")
+        killed = 0
+        for i, (name, path, snippet, replacement, tests) in enumerate(chosen):
+            repo = copy_repo(Path(tmp) / str(i))
+            apply(repo, path, snippet, replacement)
+            passed, failed = run_tests(repo, tests)
+            killed += not passed
+            print(f"SURVIVED  {name}" if passed else f"killed    {name}: {failed}", flush=True)
+            shutil.rmtree(repo)
+    print(f"killed {killed}/{len(chosen)} in {time.perf_counter() - start:.0f} s")
+    return 0 if killed == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

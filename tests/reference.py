@@ -1,8 +1,11 @@
 """Reference computations that the tests compare the package against; none
 of them is part of the package."""
 
+from math import isqrt
+
 from rmtorus.ecpoints import Curve, is_good_prime
 from rmtorus.intmat import AbelianGroup, IMat2, mat_det, mat_mul, mat_sub
+from rmtorus.quadratic import QuadraticIrrational
 
 
 def count_points_naive(e: Curve, p: int) -> int:
@@ -88,3 +91,41 @@ def snf_cokernel(l: IMat2) -> AbelianGroup:
     """Invariant factors of Z^2 / (I - l) Z^2 from the Smith normal form."""
     _, d, _ = smith_normal_form(mat_sub(IMat2.identity(), l))
     return AbelianGroup(d.a, d.d)
+
+
+def fold_matrix_A(period):
+    """Checks intmat.matrix_A: one IMat2 factor per term, folded left to right
+    by mat_mul, with no splitting of the period."""
+    result = IMat2.identity()
+    for a in period:
+        result = mat_mul(result, IMat2(a, 1, 1, 0))
+    return result
+
+
+def expand_cycle_by_dict(
+    theta: QuadraticIrrational,
+) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """Checks quadratic._expand_cycle: finds the cycle as the first state seen
+    twice, keeping every state in a dict, with no use of Galois' criterion.
+
+    Returns (preperiod, period, P, Q) with (P + sqrt(D))/Q the surd at the
+    cycle start.
+    """
+    D, s = theta.D, isqrt(theta.D)
+    P, Q = theta.P, theta.Q
+    seen: dict[tuple[int, int], int] = {}
+    quotients: list[int] = []
+    cap = 2 * D + 8 * (abs(P).bit_length() + abs(Q).bit_length()) + 64
+    for _ in range(cap):
+        if (P, Q) in seen:
+            i = seen[P, Q]
+            return tuple(quotients[:i]), tuple(quotients[i:]), P, Q
+        seen[P, Q] = len(quotients)
+        a = (P + s) // Q if Q > 0 else (-P - s - 1) // (-Q)
+        quotients.append(a)
+        # theta' = 1/(theta - a):  P' = a*Q - P,  Q' = (D - P'^2)/Q
+        P = a * Q - P
+        Q, r = divmod(D - P * P, Q)
+        if r:
+            raise ValueError(f"recurrence left the integers at P={P}: Q does not divide D - P^2")
+    raise RuntimeError(f"no cycle within {cap} steps; recurrence invariant broken")

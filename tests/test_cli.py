@@ -6,7 +6,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from rmtorus import ecpoints
+from reference import expand_cycle_by_dict, fold_matrix_A
+from rmtorus import cli, ecpoints, quadratic, units
 from rmtorus.cli import DEFAULT_CAP, build_parser, main
 from rmtorus.intmat import mat_pow, mat_trace, matrix_A
 from rmtorus.quadratic import canonicalize, cf_expand
@@ -378,3 +379,19 @@ class TestLongIntegers:
         assert code == 2
         assert "invalid int value" in err
         assert sys.get_int_max_str_digits() == limit
+
+
+class TestLongPeriods:
+    """Periods of 3702 and 12352 terms: stdout is byte-identical to the one
+    produced with the period product and the cycle replaced by the oracles."""
+
+    @pytest.mark.parametrize("cmd", ["cfrac", "matrix", "unit"])
+    @pytest.mark.parametrize("theta", ["-3162,10000054,1", "-31622,1000000007,1"])
+    def test_matches_oracles(self, cmd, theta, monkeypatch):
+        code, out, err = run_cli(cmd, "--", theta)
+        assert (code, err) == (0, "")
+        for module in (quadratic, units):
+            monkeypatch.setattr(module, "_expand_cycle", expand_cycle_by_dict)
+        for module in (quadratic, units, cli):
+            monkeypatch.setattr(module, "matrix_A", fold_matrix_A)
+        assert run_cli(cmd, "--", theta) == (0, out, "")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from reference import smith_normal_form, snf_cokernel
+from reference import fold_matrix_A, smith_normal_form, snf_cokernel
 from rmtorus.intmat import (
     AbelianGroup,
     IMat2,
@@ -21,14 +21,6 @@ from rmtorus.units import SubOrder, fundamental_unit
 
 def random_period(rng, max_len=6, max_entry=9):
     return [rng.randint(1, max_entry) for _ in range(rng.randint(1, max_len))]
-
-
-def fold_matrix_A(period):
-    """Reference period product: one IMat2 factor per term, folded by mat_mul."""
-    result = IMat2.identity()
-    for a in period:
-        result = mat_mul(result, IMat2(a, 1, 1, 0))
-    return result
 
 
 # sqrt(1000033) - 1000 in (0, 1): the period of sqrt(1000033) has 1165 terms
@@ -70,6 +62,21 @@ class TestMatrixA:
         for _ in range(200):
             per = random_period(rng, max_len=40, max_entry=rng.choice((3, 50, 10**6)))
             assert matrix_A(per) == fold_matrix_A(per)
+
+    def test_matches_fold_every_length(self):
+        # lengths 1..200 cross the leaf size of the balanced product
+        rng = random.Random(41)
+        for n in range(1, 201):
+            per = [rng.randint(1, rng.choice((3, 1000))) for _ in range(n)]
+            assert matrix_A(per) == fold_matrix_A(per), n
+
+    @pytest.mark.parametrize(
+        "theta,length", [((-3162, 10000054, 1), 3702), ((-31622, 1000000007, 1), 12352)]
+    )
+    def test_matches_fold_large_d(self, theta, length):
+        period = cf_expand(canonicalize(*theta)).period
+        assert len(period) == length
+        assert matrix_A(period) == fold_matrix_A(period)
 
     def test_long_period(self):
         cf = cf_expand(LONG_THETA)

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from reference import expand_cycle_by_dict
 from rmtorus.quadratic import (
     ContinuedFraction,
     QuadraticIrrational,
+    _expand_cycle,
     canonicalize,
     cf_expand,
     cf_value,
@@ -149,6 +151,22 @@ class TestExpand:
         t = canonicalize(p, 5, q)
         cf = cf_expand(t)
         assert cf_value(cf) == t
+        assert _expand_cycle(t) == expand_cycle_by_dict(t)
+
+    def test_cycle_matches_dict_oracle(self):
+        # all four returned values: preperiod, period and the cycle-start state
+        rng = random.Random(47)
+        cases = 0
+        while cases < 3000:
+            d = rng.randint(2, 10**5)
+            if math.isqrt(d) ** 2 == d:
+                continue
+            p = rng.randint(-300, 300)
+            qs = [q for q in range(1, 301) if (d - p * p) % q == 0]
+            q = rng.choice(qs) * rng.choice((1, -1))
+            t = QuadraticIrrational(p, d, q)
+            assert _expand_cycle(t) == expand_cycle_by_dict(t), t
+            cases += 1
 
     def test_long_period_builds_no_surd_per_step(self, monkeypatch):
         # the cycle steps (P, Q) as plain integers: no QuadraticIrrational,

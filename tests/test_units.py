@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -230,6 +231,29 @@ class TestFundamentalUnit:
     def test_bad_conductor(self):
         with pytest.raises(ValueError):
             SubOrder(SQRT2M1, 0)
+
+    def test_matches_sympy_diop_dn(self):
+        # for theta = sqrt(D) - floor(sqrt(D)), Z + (f*theta)Z is the order
+        # Z[sqrt(f^2*D)], whose fundamental unit x + y*sqrt(f^2*D) is the least
+        # solution of x^2 - f^2*D*y^2 = -1, or of = +1 when -1 has none
+        diophantine = pytest.importorskip("sympy.solvers.diophantine.diophantine")
+        rng = random.Random(53)
+        cases = [(94, 1), (100000019, 1)]
+        while len(cases) < 60:
+            d = rng.randint(2, 2000)
+            if math.isqrt(d) ** 2 != d:
+                cases.append((d, rng.randint(1, 10)))
+        for d, f in cases:
+            n = f * f * d
+            ((x, y),) = diophantine.diop_DN(n, -1) or diophantine.diop_DN(n, 1)
+            s = math.isqrt(d)
+            # x + y*f*sqrt(D) = (x + y*f*s) + y*(f*theta)
+            m = unit(canonicalize(-s, d, 1), f)
+            assert (m.a, m.c) == (x + y * f * s, y), (d, f)
+            if d == 94:
+                assert (x, y) == (2143295, 221064)
+            if d == 100000019:
+                assert 3600 <= len(cf_expand(canonicalize(-s, d, 1)).period) <= 4400
 
 
 class TestPiIndex:
