@@ -9,7 +9,6 @@ Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from typing import Iterator, Sequence
 
 from .intmat import AbelianGroup, IMat2, build_Lp, cokernel_group, mat_pow, mat_trace
@@ -37,19 +36,52 @@ class Curve:
         return f"y^2 = x^3 + {self.a}*x + {self.b}"
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+# (psi_k, k): the least strong pseudoprime to the first k prime bases is
+# psi_k, so below it those k bases decide primality exactly (Sorenson and
+# Webster 2015); k = 8, 10 and 11 are missing because psi_8 = psi_7 and
+# psi_10 = psi_11 = psi_9
+_MR_PSI = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (_MR_LIMIT, 13),
+)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division, adequate for word-sized inputs."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    i = 5
-    while i * i <= n:
-        if n % i == 0 or n % (i + 2) == 0:
+    """Deterministic Miller-Rabin with as many of the first 13 prime bases as
+    the size of n needs.  Exact for n < 3317044064679887385961981; raises
+    ValueError at or above that bound."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large: primality is decided only below {_MR_LIMIT}")
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 41 * 41:  # a composite this small has a prime factor up to 41
+        return n > 1
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    k = next(k for psi, k in _MR_PSI if n < psi)
+    for a in _MR_BASES[:k]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 6
     return True
 
 
@@ -77,11 +109,6 @@ def count_points(e: Curve, p: int) -> tuple[int, int]:
     if ap * ap > 4 * p:
         raise ArithmeticError(f"count {n} violates |a_p| <= 2*sqrt({p})")
     return n, ap
-
-
-def hasse_bound(p: int) -> int:
-    """floor(2*sqrt(p))."""
-    return isqrt(4 * p)
 
 
 @dataclass(frozen=True)
@@ -118,11 +145,12 @@ def fingerprint(
 
     Both pi(p) and T come from the one unit matrix M: A and M share the
     eigenvalues eps and its conjugate, so tr(A^k) = tr(M^k)."""
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
     unit = fundamental_unit(SubOrder(theta))
     rows = []
     for p in primes:
-        if p < 2:
-            raise ValueError("primes must be >= 2")
         k = pi_index(unit, p, cap=cap)
         rows.append(Fingerprint(p, k, mat_trace(mat_pow(unit, k))))
     return rows

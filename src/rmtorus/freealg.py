@@ -36,20 +36,6 @@ class NCPoly:
                 acc[word] = acc.get(word, Fraction(0)) + c
         self._terms = {w: c for w, c in acc.items() if c}
 
-    @staticmethod
-    def zero() -> NCPoly:
-        return NCPoly()
-
-    @staticmethod
-    def one() -> NCPoly:
-        return NCPoly({"": 1})
-
-    @staticmethod
-    def gen(i: int) -> NCPoly:
-        if i not in (1, 2):
-            raise ValueError("generators are x1 and x2")
-        return NCPoly({str(i): 1})
-
     def terms(self) -> dict[str, Fraction]:
         return dict(self._terms)
 
@@ -142,20 +128,6 @@ class RewriteSystem:
                 if _deglex(w) >= _deglex(lhs):
                     raise ValueError(f"rule {lhs} -> {rhs} does not decrease the order")
 
-    def self_overlaps(self) -> list[tuple[int, int, int]]:
-        """(i, j, k): a proper suffix of rules[i] of length k is a prefix of
-        rules[j], or one left side sits inside another.  Empty means the
-        diamond lemma applies and normal forms are unique."""
-        found = []
-        for i, (a, _) in enumerate(self.rules):
-            for j, (b, _) in enumerate(self.rules):
-                for k in range(1, min(len(a), len(b))):
-                    if a[-k:] == b[:k]:
-                        found.append((i, j, k))
-                if i != j and b in a:
-                    found.append((i, j, len(b)))
-        return found
-
     def leftmost_match(self, word: str) -> tuple[int, int] | None:
         """(position, rule index) of the leftmost match; earlier rules win ties."""
         best = None
@@ -200,15 +172,11 @@ def star_image(f: NCPoly) -> NCPoly:
 
 
 def star_defect(rel: NCPoly, rs: RewriteSystem) -> NCPoly:
-    """Normal form of the star image of a relation that itself reduces to zero."""
+    """Normal form of the star image of a relation that itself reduces to zero;
+    it is zero iff the involution maps the relation back into the ideal."""
     if not reduce(rel, rs).is_zero:
         raise ValueError("relation does not reduce to zero under the system")
     return reduce(star_image(rel), rs)
-
-
-def relation_preserved(rel: NCPoly, rs: RewriteSystem) -> bool:
-    """Whether the involution maps the relation back into the ideal."""
-    return star_defect(rel, rs).is_zero
 
 
 def u_infinity_relation() -> NCPoly:

@@ -45,15 +45,6 @@ class AbelianGroup:
         if self.d1 != 0 and self.d2 != 0 and self.d2 % self.d1 != 0:
             raise ValueError(f"d1={self.d1} must divide d2={self.d2}")
 
-    def order(self) -> int | None:
-        """Group order, or None when a factor is infinite."""
-        if self.d1 == 0 or self.d2 == 0:
-            return None
-        return self.d1 * self.d2
-
-    def is_trivial(self) -> bool:
-        return self.d1 == 1 and self.d2 == 1
-
     def __str__(self):
         names = []
         for d in (self.d1, self.d2):

@@ -68,9 +68,6 @@ class QuadraticIrrational:
         """Product of the value and its conjugate, (P^2 - D)/Q^2."""
         return Fraction(self.P * self.P - self.D, self.Q * self.Q)
 
-    def conjugate(self) -> QuadraticIrrational:
-        return canonicalize(-self.P, self.D, -self.Q)
-
     def __str__(self):
         return f"({self.P}+sqrt({self.D}))/{self.Q}"
 

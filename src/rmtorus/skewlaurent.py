@@ -282,17 +282,6 @@ class SkewPoly:
     def term(cls, alpha: AffineAut, k: int, poly: UPoly) -> SkewPoly:
         return cls(alpha, {k: poly})
 
-    @classmethod
-    def zero(cls, alpha: AffineAut) -> SkewPoly:
-        return cls(alpha, {})
-
-    @classmethod
-    def one(cls, alpha: AffineAut) -> SkewPoly:
-        return cls(alpha, {0: UP_ONE})
-
-    def support(self) -> list[int]:
-        return sorted(self._coeffs)
-
     def coeff(self, k: int) -> UPoly:
         return self._coeffs.get(k, UP_ZERO)
 

@@ -79,6 +79,34 @@ MUTANTS = [
         "        pass\n    print(line)",
         ["tests/test_cli.py"],
     ),
+    (
+        "floor-negative-q-off-by-one",
+        "src/rmtorus/quadratic.py",
+        "else (-P - s - 1) // (-Q)",
+        "else (-P - s) // (-Q)",
+        ["tests/test_quadratic.py"],
+    ),
+    (
+        "build-lp-transposed",
+        "src/rmtorus/intmat.py",
+        "L = IMat2(T - p, p, T - p - 1, p)",
+        "L = IMat2(T - p, T - p - 1, p, p)",
+        ["tests/test_intmat.py"],
+    ),
+    (
+        "match-curves-without-cap-check",
+        "src/rmtorus/ecpoints.py",
+        '    if cap < 1:\n        raise ValueError("cap must be >= 1")\n',
+        "",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "is-prime-drops-a-base",
+        "src/rmtorus/ecpoints.py",
+        "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
+        "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",
+        ["tests/test_ecpoints.py"],
+    ),
 ]
 
 

@@ -1,15 +1,42 @@
-"""Reference computations that the tests compare the package against; none
-of them is part of the package."""
+"""Reference computations that the tests compare the package against, and the
+random inputs the tests share; none of them is part of the package.
 
-from math import isqrt
+Every public function here is either an oracle or an input generator (its
+name starts with `random_`).  An oracle's docstring starts with
+`Checks <module>.<name>`, naming the function of `rmtorus` it checks, and
+says why it is independent of it.  The rule: an oracle never calls the code
+it checks, directly or through a helper in this file.  It may call other
+parts of the package; tests/test_reference.py enforces the rule.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import islice
+from math import isqrt, sqrt
 
 from rmtorus.ecpoints import Curve, is_good_prime
+from rmtorus.freealg import NCPoly, nc_mul
 from rmtorus.intmat import AbelianGroup, IMat2, mat_det, mat_mul, mat_sub
-from rmtorus.quadratic import QuadraticIrrational
+from rmtorus.quadratic import QuadraticIrrational, canonicalize
+from rmtorus.skewlaurent import AffineAut, SkewPoly, UPoly, gr
+
+
+# --- primes and point counts -------------------------------------------------
+
+
+def primes_below(n: int) -> list[int]:
+    """Checks ecpoints.is_prime: the sieve of Eratosthenes, which crosses off
+    multiples and never tests a single number."""
+    sieve = bytearray([1]) * n
+    for i in range(2, isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    return [i for i in range(2, n) if sieve[i]]
 
 
 def count_points_naive(e: Curve, p: int) -> int:
-    """|E(F_p)| by full O(p^2) enumeration; the independent oracle."""
+    """Checks ecpoints.count_points: |E(F_p)| by full O(p^2) enumeration of
+    the pairs (x, y), with no quadratic character."""
     if not is_good_prime(e, p):
         raise ValueError(f"p={p} is not a good prime for {e}")
     a, b = e.a % p, e.b % p
@@ -20,6 +47,9 @@ def count_points_naive(e: Curve, p: int) -> int:
             if y * y % p == rhs:
                 count += 1
     return count
+
+
+# --- cokernels ---------------------------------------------------------------
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -38,7 +68,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def smith_normal_form(m: IMat2) -> tuple[IMat2, IMat2, IMat2]:
-    """Unimodular U, V and diagonal D with U*m*V = D, d1 >= 0, d1 | d2."""
+    """Checks intmat.cokernel_group: unimodular U, V and diagonal D with
+    U*m*V = D, d1 >= 0, d1 | d2, by row and column operations rather than
+    determinantal divisors."""
     u = IMat2.identity()
     v = IMat2.identity()
     w = m
@@ -88,18 +120,54 @@ def smith_normal_form(m: IMat2) -> tuple[IMat2, IMat2, IMat2]:
 
 
 def snf_cokernel(l: IMat2) -> AbelianGroup:
-    """Invariant factors of Z^2 / (I - l) Z^2 from the Smith normal form."""
+    """Checks intmat.cokernel_group: the invariant factors of Z^2 / (I - l) Z^2
+    read off the Smith normal form above."""
     _, d, _ = smith_normal_form(mat_sub(IMat2.identity(), l))
     return AbelianGroup(d.a, d.d)
 
 
-def fold_matrix_A(period):
-    """Checks intmat.matrix_A: one IMat2 factor per term, folded left to right
-    by mat_mul, with no splitting of the period."""
-    result = IMat2.identity()
-    for a in period:
-        result = mat_mul(result, IMat2(a, 1, 1, 0))
-    return result
+# --- continued fractions and period matrices ---------------------------------
+
+
+def random_surd(rng, dmax: int = 10**4) -> QuadraticIrrational:
+    """Random reduced triple with D <= dmax: pick D and P, then a divisor of
+    D - P^2, of either sign, as Q."""
+    while True:
+        d = rng.randint(2, dmax)
+        if isqrt(d) ** 2 == d:
+            continue
+        p = rng.randint(-50, 50)
+        rem = d - p * p
+        if rem == 0:
+            continue
+        divisors = [q for q in range(1, abs(rem) + 1) if rem % q == 0]
+        q = rng.choice(divisors) * rng.choice([1, -1])
+        return canonicalize(p, d, q)
+
+
+def random_period(rng, max_len: int = 6, max_entry: int = 9) -> list[int]:
+    """Random continued fraction period of 1 to max_len terms in 1..max_entry."""
+    return [rng.randint(1, max_entry) for _ in range(rng.randint(1, max_len))]
+
+
+def _surd_steps(P: int, D: int, Q: int):
+    """The states (P, Q) of the recurrence theta' = 1/(theta - a) on
+    theta = (P + sqrt(D))/Q, each with its quotient a = floor(theta)."""
+    s = isqrt(D)
+    while True:
+        a = (P + s) // Q if Q > 0 else (-P - s - 1) // (-Q)
+        yield P, Q, a
+        # theta' = 1/(theta - a):  P' = a*Q - P,  Q' = (D - P'^2)/Q
+        P = a * Q - P
+        Q, r = divmod(D - P * P, Q)
+        if r:
+            raise ValueError(f"recurrence left the integers at P={P}: Q does not divide D - P^2")
+
+
+def oracle_quotients(P: int, D: int, Q: int, n: int) -> list[int]:
+    """Checks quadratic.cf_expand: the first n quotients of (P + sqrt(D))/Q,
+    stepped one by one with no cycle detection."""
+    return [a for _, _, a in islice(_surd_steps(P, D, Q), n)]
 
 
 def expand_cycle_by_dict(
@@ -111,21 +179,171 @@ def expand_cycle_by_dict(
     Returns (preperiod, period, P, Q) with (P + sqrt(D))/Q the surd at the
     cycle start.
     """
-    D, s = theta.D, isqrt(theta.D)
-    P, Q = theta.P, theta.Q
     seen: dict[tuple[int, int], int] = {}
     quotients: list[int] = []
-    cap = 2 * D + 8 * (abs(P).bit_length() + abs(Q).bit_length()) + 64
-    for _ in range(cap):
+    cap = 2 * theta.D + 8 * (abs(theta.P).bit_length() + abs(theta.Q).bit_length()) + 64
+    for P, Q, a in islice(_surd_steps(theta.P, theta.D, theta.Q), cap):
         if (P, Q) in seen:
             i = seen[P, Q]
             return tuple(quotients[:i]), tuple(quotients[i:]), P, Q
         seen[P, Q] = len(quotients)
-        a = (P + s) // Q if Q > 0 else (-P - s - 1) // (-Q)
         quotients.append(a)
-        # theta' = 1/(theta - a):  P' = a*Q - P,  Q' = (D - P'^2)/Q
-        P = a * Q - P
-        Q, r = divmod(D - P * P, Q)
-        if r:
-            raise ValueError(f"recurrence left the integers at P={P}: Q does not divide D - P^2")
     raise RuntimeError(f"no cycle within {cap} steps; recurrence invariant broken")
+
+
+def fold_matrix_A(period):
+    """Checks intmat.matrix_A: one IMat2 factor per term, folded left to right
+    by mat_mul, with no splitting of the period."""
+    result = IMat2.identity()
+    for a in period:
+        result = mat_mul(result, IMat2(a, 1, 1, 0))
+    return result
+
+
+# --- units -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Elt:
+    """x + y*theta, for the exact product below."""
+
+    x: int
+    y: int
+    theta: object
+
+
+def elt_mul(a: Elt, b: Elt) -> Elt:
+    """Checks intmat.mat_mul on unit matrices: the exact product of
+    x + y*theta through Fraction arithmetic, expanding theta^2 =
+    tr(theta)*theta - nm(theta), with no matrix in sight."""
+    if a.theta != b.theta:
+        raise ValueError("elements live over different theta")
+    tr = a.theta.trace()
+    nm = a.theta.norm()
+    x = Fraction(a.x * b.x) - a.y * b.y * nm
+    y = Fraction(a.x * b.y + a.y * b.x) + a.y * b.y * tr
+    if x.denominator != 1 or y.denominator != 1:
+        raise ValueError(f"product leaves the lattice: {x} + {y}*theta")
+    return Elt(int(x), int(y), a.theta)
+
+
+def exact_pi_index(eps: Elt, p: int, cap: int = 10**6) -> int:
+    """Checks units.pi_index: multiplies out the exact powers of eps by
+    elt_mul until p divides the theta coordinate, with no reduction mod p."""
+    acc = eps
+    for k in range(1, cap + 1):
+        if acc.y % p == 0:
+            return k
+        acc = elt_mul(acc, eps)
+    raise AssertionError(f"no power within {cap} steps for p={p}")
+
+
+def brute_force_unit(theta: QuadraticIrrational, conductor: int = 1, vmax: int = 100000):
+    """Checks units.fundamental_unit: sweeps the theta coordinate y of
+    x + y*theta upward (y a multiple of the conductor) and solves the norm
+    equation |x^2 + x*y*tr + y^2*nm| = 1 for integer x, with no continued
+    fraction.  The fundamental unit is the smallest candidate > 1 found at
+    the first y admitting any; two units can share that y (golden ratio: phi
+    and phi^2 both have coordinate 1), so all roots are compared.  Returns
+    its coordinates (x, y)."""
+    tr = theta.trace()
+    nm = theta.norm()
+    approx = (theta.P + sqrt(theta.D)) / theta.Q
+    for y in range(conductor, vmax * conductor + 1, conductor):
+        hits = []
+        # x^2 + (y*tr)x + (y^2*nm -+ 1) = 0
+        for target in (1, -1):
+            b = y * tr
+            c = y * y * nm - target
+            disc = b * b - 4 * c
+            if disc < 0:
+                continue
+            num = Fraction(disc).numerator * Fraction(disc).denominator
+            s = isqrt(num)
+            if s * s != num:
+                continue
+            root = Fraction(s, Fraction(disc).denominator)
+            for sgn in (1, -1):
+                x = (-b + sgn * root) / 2
+                if x.denominator == 1 and x + y * approx > 1 + 1e-9:
+                    hits.append(int(x))
+        if hits:
+            return min(hits), y
+    raise AssertionError("oracle sweep exhausted")
+
+
+# --- twisted Laurent polynomials ---------------------------------------------
+
+
+def random_gauss(rng, real_only: bool = False):
+    """Random Q(i) scalar: real part in {-2, ..., 2}/{1, 2}, imaginary part in
+    {-1, 0, 1} (0 when real_only)."""
+    re = Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
+    im = Fraction(0) if real_only else Fraction(rng.randint(-1, 1))
+    return gr(re, im)
+
+
+def random_upoly(rng, maxdeg: int = 3, real_only: bool = False) -> UPoly:
+    """Random polynomial in u of degree at most maxdeg."""
+    deg = rng.randint(0, maxdeg)
+    return UPoly.make([random_gauss(rng, real_only) for _ in range(deg + 1)])
+
+
+def random_skew(rng, alpha: AffineAut, real_only: bool = False) -> SkewPoly:
+    """Random skew Laurent polynomial with 1 to 3 terms t^k, -3 <= k <= 3."""
+    support = rng.sample(range(-3, 4), rng.randint(1, 3))
+    return SkewPoly(alpha, {k: random_upoly(rng, real_only=real_only) for k in support})
+
+
+def random_aut(rng, real_only: bool = False) -> AffineAut:
+    """Random affine twist u -> p*u + q with p != 0."""
+    while True:
+        p = random_gauss(rng, real_only)
+        if p:
+            return AffineAut(p, random_gauss(rng, real_only))
+
+
+# --- the free algebra --------------------------------------------------------
+
+
+def reduce_rightmost(f: NCPoly, rs) -> NCPoly:
+    """Checks freealg.reduce: rewrites the rightmost match in the smallest
+    reducible word first, where the package rewrites the leftmost match in
+    the largest."""
+    work = f
+    while True:
+        target = None
+        for w in sorted(work.terms(), key=lambda w: (len(w), w)):
+            best = None
+            for idx, (lhs, _) in enumerate(rs.rules):
+                pos = w.rfind(lhs)
+                if pos >= 0 and (best is None or pos > best[0]):
+                    best = (pos, idx)
+            if best is not None:
+                target = (w, best)
+                break
+        if target is None:
+            return work
+        w, (pos, idx) = target
+        lhs, rhs = rs.rules[idx]
+        c = work.terms()[w]
+        pre, suf = w[:pos], w[pos + len(lhs):]
+        piece = nc_mul(nc_mul(NCPoly({pre: 1}), rhs), NCPoly({suf: 1}))
+        work = work - NCPoly({w: c}) + piece.scale(c)
+
+
+def self_overlaps(rs) -> list[tuple[int, int, int]]:
+    """Checks freealg.reduce: the diamond-lemma certificate that its normal
+    forms are unique, read from the rules' left sides alone.  Returns
+    (i, j, k) where a proper suffix of rule i's left side of length k is a
+    prefix of rule j's, or one left side sits inside another; empty means no
+    ambiguity can arise."""
+    found = []
+    for i, (a, _) in enumerate(rs.rules):
+        for j, (b, _) in enumerate(rs.rules):
+            for k in range(1, min(len(a), len(b))):
+                if a[-k:] == b[:k]:
+                    found.append((i, j, k))
+            if i != j and b in a:
+                found.append((i, j, len(b)))
+    return found

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -221,6 +222,40 @@ class TestMatch:
         _, out1, _ = run_cli(*args)
         _, out2, _ = run_cli(*args)
         assert out1 == out2
+
+
+class TestPrimeArguments:
+    """--p and --primes must be primes below 3317044064679887385961981, the
+    bound up to which the primality test is exact."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pi", "--p", "4", "--", "-1,2,1"],
+            ["lp", "--p", "4", "--", "-1,2,1"],
+            ["count", "--curve", "0,1", "--p", "4"],
+            ["match", "--curve", "0,1", "--primes", "5,4", "--", "-1,2,1"],
+        ],
+        ids=["pi", "lp", "count", "match"],
+    )
+    def test_composite_is_bad_input(self, argv):
+        assert run_cli(*argv) == (2, "", "error: 4 is not prime\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--curve", "0,1", "--p", "1000000000000000000000000000057"],
+            ["pi", "--p", "1000000000000000000000000000057", "--", "-1,2,1"],
+            ["match", "--curve", "0,1", "--primes", "5,3317044064679887385961981", "--", "-1,2,1"],
+        ],
+        ids=["count", "pi", "match"],
+    )
+    def test_past_the_bound_is_bad_input_at_once(self, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "primality is decided only below 3317044064679887385961981" in err
 
 
 class TestSkewDemo:

@@ -1,13 +1,12 @@
-import math
+import random
 
 import pytest
 
-from reference import count_points_naive, snf_cokernel
+from reference import count_points_naive, primes_below, snf_cokernel
 from rmtorus.ecpoints import (
     Curve,
     count_points,
     fingerprint,
-    hasse_bound,
     is_good_prime,
     is_prime,
     match_curve,
@@ -21,9 +20,20 @@ GOLDEN = canonicalize(-1, 5, 2)
 
 FIXED_CURVES = [Curve(0, 1), Curve(-1, 0), Curve(1, 1), Curve(0, -4), Curve(2, 3)]
 
-
-def primes_up_to(n):
-    return [p for p in range(2, n + 1) if is_prime(p)]
+# psi_k, the least strong pseudoprime to each of the first k prime bases,
+# for k = 1, 2, 3, 4, 5, 6, 7 (= psi_8), 9 (= psi_10 = psi_11) and 12
+STRONG_PSEUDOPRIMES = [
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+]
+MR_LIMIT = 3317044064679887385961981  # psi_13
 
 
 class TestCurve:
@@ -64,12 +74,11 @@ class TestCounts:
 
     def test_oracle_agreement(self):
         for curve in FIXED_CURVES:
-            for p in primes_up_to(200):
+            for p in primes_below(201):
                 if not is_good_prime(curve, p):
                     continue
                 n, ap = count_points(curve, p)
                 assert n == count_points_naive(curve, p)
-                assert abs(ap) <= hasse_bound(p)
                 assert ap * ap <= 4 * p
 
     def test_count_equals_frobenius_determinant(self):
@@ -98,30 +107,28 @@ class TestFingerprint:
     def test_golden_row(self):
         (row,) = fingerprint(GOLDEN, [2])
         assert row.pi == 3 and row.T == 4 and row.det_iml == -1
-        assert row.group.is_trivial()
+        assert row.group == AbelianGroup(1, 1)
 
     def test_identity_wiring(self):
         for theta in (SQRT2M1, GOLDEN):
             for row in fingerprint(theta, [2, 3, 5, 7, 11, 13]):
                 assert mat_det(mat_sub(IMat2.identity(), row.Lp)) == 1 + row.p - row.T
-                order = row.group.order()
-                if row.det_iml != 0:
-                    assert order == abs(row.det_iml)
+                assert row.group.d1 * row.group.d2 == abs(row.det_iml)
 
     def test_closed_form_group_matches_snf(self):
         # the cokernel of I - L_p is cyclic of order |det(I - L_p)|; the SNF
         # oracle must agree for 1+p-T positive, zero and negative
-        for p in primes_up_to(60):
+        for p in primes_below(61):
             for t in range(-40, 2 * p + 40):
                 expected = snf_cokernel(build_Lp(t, p))
                 assert AbelianGroup(1, abs(1 + p - t)) == expected, (t, p)
                 assert cokernel_group(build_Lp(t, p)) == expected, (t, p)
         for theta in (SQRT2M1, GOLDEN):
-            for row in fingerprint(theta, primes_up_to(200)):
+            for row in fingerprint(theta, primes_below(201)):
                 assert row.group == snf_cokernel(row.Lp)
 
     @pytest.mark.parametrize(
-        "primes", [[2], [5, 7, 11], primes_up_to(200)], ids=lambda ps: f"{len(ps)}primes"
+        "primes", [[2], [5, 7, 11], primes_below(201)], ids=lambda ps: f"{len(ps)}primes"
     )
     def test_one_unit_per_call(self, primes, monkeypatch):
         # one fundamental_unit call however many primes; no continued
@@ -144,6 +151,12 @@ class TestFingerprint:
     def test_rejects_small_prime(self):
         with pytest.raises(ValueError):
             fingerprint(SQRT2M1, [1])
+
+    @pytest.mark.parametrize("primes", [[4], [5, 9], [25326001]], ids=str)
+    def test_rejects_composite_before_any_unit(self, primes, monkeypatch):
+        monkeypatch.setattr(ecpoints, "fundamental_unit", None)
+        with pytest.raises(ValueError, match=f"{primes[-1]} is not prime"):
+            fingerprint(SQRT2M1, primes)
 
 
 class TestMatch:
@@ -168,25 +181,43 @@ class TestMatch:
         assert report.mismatching() == [5]
 
     def test_match_flag_definition(self):
-        report = match_curve(SQRT2M1, Curve(0, 1), primes_up_to(30))
+        report = match_curve(SQRT2M1, Curve(0, 1), primes_below(31))
         for entry in report.entries:
             assert entry.match == (abs(entry.data.det_iml) == entry.ec_count)
 
 
 class TestPrimality:
     def test_small(self):
-        assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert [n for n in range(-3, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
     def test_against_sympy_style_sieve(self):
-        sieve = [True] * 1000
-        sieve[0] = sieve[1] = False
-        for i in range(2, 32):
-            if sieve[i]:
-                for j in range(i * i, 1000, i):
-                    sieve[j] = False
-        for n in range(1000):
-            assert is_prime(n) == sieve[n]
+        # every n below 2*10^5, across the first bound, 2047, of one base
+        primes = set(primes_below(2 * 10**5))
+        for n in range(2 * 10**5):
+            assert is_prime(n) == (n in primes), n
 
-    def test_hasse_bound_matches_float(self):
-        for p in primes_up_to(500):
-            assert hasse_bound(p) == int(2 * math.sqrt(p) + 1e-9)
+    def test_strong_pseudoprimes_are_composite(self):
+        for n in STRONG_PSEUDOPRIMES:
+            assert not is_prime(n), n
+
+    def test_largest_prime_below_the_limit(self):
+        assert is_prime(MR_LIMIT - 168)
+        assert not any(is_prime(MR_LIMIT - k) for k in range(1, 168))
+
+    @pytest.mark.parametrize("n", [MR_LIMIT, MR_LIMIT + 2, 10**30 + 57, 2**100])
+    def test_limit_raises(self, n):
+        with pytest.raises(ValueError, match="primality is decided only below"):
+            is_prime(n)
+
+    def test_matches_sympy_isprime(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(59)
+        cases = []
+        for digits in range(2, 25):
+            lo, hi = 10 ** (digits - 1), 10**digits
+            cases += [rng.randrange(lo, hi) | 1 for _ in range(40)]
+            # primes are rare among random inputs: take the next prime too
+            cases += [sympy.nextprime(rng.randrange(lo, hi)) for _ in range(5)]
+        cases += [p * q for p, q in zip(cases[::7], cases[1::7]) if p * q < MR_LIMIT]
+        for n in cases:
+            assert is_prime(n) == sympy.isprime(n), n

@@ -3,21 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+from reference import reduce_rightmost, self_overlaps
 from rmtorus.freealg import (
     NCPoly,
     RewriteSystem,
     nc_mul,
     reduce,
-    relation_preserved,
     star_defect,
     star_image,
     u_infinity_relation,
     u_infinity_system,
 )
-from rmtorus.skewlaurent import SkewPoly, UP_ONE, UP_U, gr, shift_by_one, skew_mul
+from rmtorus.skewlaurent import SkewPoly, UP_ONE, UP_U, UPoly, gr, shift_by_one, skew_mul
 
-X1 = NCPoly.gen(1)
-X2 = NCPoly.gen(2)
+X1 = NCPoly({"1": 1})
+X2 = NCPoly({"2": 1})
 RS = u_infinity_system()
 
 
@@ -29,31 +29,6 @@ def rand_ncpoly(rng, max_terms=4, max_len=4):
     return NCPoly(terms)
 
 
-def reduce_rightmost(f, rs):
-    """Independent strategy: rewrite the rightmost match in the smallest
-    reducible word first."""
-    work = f
-    while True:
-        target = None
-        for w in sorted(work.terms(), key=lambda w: (len(w), w)):
-            best = None
-            for idx, (lhs, _) in enumerate(rs.rules):
-                pos = w.rfind(lhs)
-                if pos >= 0 and (best is None or pos > best[0]):
-                    best = (pos, idx)
-            if best is not None:
-                target = (w, best)
-                break
-        if target is None:
-            return work
-        w, (pos, idx) = target
-        lhs, rhs = rs.rules[idx]
-        c = work.terms()[w]
-        pre, suf = w[:pos], w[pos + len(lhs):]
-        piece = nc_mul(nc_mul(NCPoly({pre: 1}), rhs), NCPoly({suf: 1}))
-        work = work - NCPoly({w: c}) + piece.scale(c)
-
-
 class TestNCMul:
     def test_concat(self):
         assert nc_mul(X1, X2) == NCPoly({"12": 1})
@@ -62,7 +37,7 @@ class TestNCMul:
         assert nc_mul(X1 + X2, X1) == NCPoly({"11": 1, "21": 1})
 
     def test_unit(self):
-        one = NCPoly.one()
+        one = NCPoly({"": 1})
         f = NCPoly({"121": 3, "": 2})
         assert nc_mul(one, f) == f
         assert nc_mul(f, one) == f
@@ -99,7 +74,7 @@ class TestReduce:
             assert reduce(f, RS) == reduce_rightmost(f, RS)
 
     def test_no_self_overlaps(self):
-        assert RS.self_overlaps() == []
+        assert self_overlaps(RS) == []
 
     def test_rewrite_must_decrease(self):
         with pytest.raises(ValueError):
@@ -131,21 +106,20 @@ class TestStarImage:
 class TestRelationPreserved:
     def test_quadratic_relation_not_preserved(self):
         rel = u_infinity_relation()
-        assert relation_preserved(rel, RS) is False
         assert star_defect(rel, RS) == NCPoly({"11": 1, "22": -1})
         assert str(star_defect(rel, RS)) == "x1^2 - x2^2"
 
     def test_zero_relation(self):
-        assert relation_preserved(NCPoly.zero(), RS) is True
+        assert star_defect(NCPoly(), RS).is_zero
 
     def test_commutator_modulo_itself(self):
         rel = nc_mul(X1, X2) - nc_mul(X2, X1)
         rs = RewriteSystem([("21", NCPoly({"12": 1}))])
-        assert relation_preserved(rel, rs) is True
+        assert star_defect(rel, rs).is_zero
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            relation_preserved(NCPoly({"1": 1}), RS)
+            star_defect(NCPoly({"1": 1}), RS)
 
 
 class TestSkewConsistency:
@@ -156,13 +130,12 @@ class TestSkewConsistency:
         images = {"1": SkewPoly.term(alpha, 1, UP_ONE), "2": SkewPoly.term(alpha, 1, UP_U)}
 
         def embed(f):
-            out = SkewPoly.zero(alpha)
+            out = SkewPoly(alpha, {})
             for w, c in f.terms().items():
-                acc = SkewPoly.one(alpha)
+                acc = SkewPoly.term(alpha, 0, UPoly.const(gr(c)))
                 for ch in w:
                     acc = skew_mul(acc, images[ch])
-                scaled = SkewPoly(alpha, {k: acc.coeff(k).scale(gr(c)) for k in acc.support()})
-                out = out + scaled
+                out = out + acc
             return out
 
         rng = random.Random(17)

@@ -8,18 +8,18 @@ To regenerate it after an intended change of output:
 """
 
 import io
-import math
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from reference import primes_below
 from rmtorus.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.txt")
 CURVES_FILE = "CURVES_FILE"  # stands for a file holding CURVES
 CURVES = "0,1\n-1,0\n1,1\n2,3\n"
-PRIMES_BELOW_1200 = ",".join(str(p) for p in range(2, 1200) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+PRIMES_BELOW_1200 = ",".join(map(str, primes_below(1200)))
 
 CASES = [
     # README examples

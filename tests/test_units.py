@@ -1,10 +1,9 @@
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 
 import pytest
 
+from reference import Elt, brute_force_unit, elt_mul, exact_pi_index, primes_below
 from rmtorus.ecpoints import fingerprint
 from rmtorus.intmat import IMat2, mat_det, mat_mul, mat_pow, mat_trace, matrix_A
 from rmtorus.quadratic import canonicalize, cf_expand
@@ -23,7 +22,11 @@ SWEEP_SURDS = [
     (-1, 5, 2), (-1, 2, 1), (-3, 13, 2), (-1, 3, 1), (-2, 5, 1), (-3, 21, 2), (-2, 8, 1), (-3, 10, 1),
     (-2, 10, 2), (-3, 17, 2), (-4, 26, 2), (-5, 37, 3), (-3, 24, 3), (-2, 7, 1), (-5, 65, 5), (-4, 65, 7),
 ]
-PRIMES_BELOW_600 = [p for p in range(2, 600) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+RING_SURDS = [
+    s for s in SWEEP_SURDS
+    if canonicalize(*s).trace().denominator == 1 and canonicalize(*s).norm().denominator == 1
+]
+PRIMES_BELOW_600 = primes_below(600)
 
 
 def unit(theta, conductor=1):
@@ -33,75 +36,6 @@ def unit(theta, conductor=1):
 def coords(m, conductor=1):
     """(x, y) with eps = x + y*theta, for the matrix m of eps on {1, f*theta}."""
     return m.a, conductor * m.c
-
-
-@dataclass(frozen=True)
-class Elt:
-    """x + y*theta, for the exact product below."""
-
-    x: int
-    y: int
-    theta: object
-
-
-def elt_mul(a, b):
-    """Oracle: exact product of x + y*theta through Fraction arithmetic,
-    expanding theta^2 = tr(theta)*theta - nm(theta); independent of the
-    matrices the library holds units in."""
-    if a.theta != b.theta:
-        raise ValueError("elements live over different theta")
-    tr = a.theta.trace()
-    nm = a.theta.norm()
-    x = Fraction(a.x * b.x) - a.y * b.y * nm
-    y = Fraction(a.x * b.y + a.y * b.x) + a.y * b.y * tr
-    if x.denominator != 1 or y.denominator != 1:
-        raise ValueError(f"product leaves the lattice: {x} + {y}*theta")
-    return Elt(int(x), int(y), a.theta)
-
-
-def exact_pi_index(theta, p, cap=10**6):
-    """Oracle: the exact search pi_index used to run, multiplying x + y*theta
-    through Fraction arithmetic until p divides the theta coordinate."""
-    eps = Elt(*coords(unit(theta)), theta)
-    acc = eps
-    for k in range(1, cap + 1):
-        if acc.y % p == 0:
-            return k
-        acc = elt_mul(acc, eps)
-    raise SearchLimitExceeded(f"no power within {cap} steps for p={p}")
-
-
-def brute_force_unit(theta, conductor=1, vmax=100000):
-    """Oracle: sweep the theta-coordinate of x + y*theta upward (y a multiple
-    of the conductor) and solve the norm equation |x^2 + x*y*tr + y^2*nm| = 1
-    for integer x.  The fundamental unit is the smallest candidate > 1 found
-    at the first y admitting any; two units can share that y (golden ratio:
-    phi and phi^2 both have coordinate 1), so all roots are compared.
-    Returns its coordinates (x, y)."""
-    tr = theta.trace()
-    nm = theta.norm()
-    approx = (theta.P + math.sqrt(theta.D)) / theta.Q
-    for y in range(conductor, vmax * conductor + 1, conductor):
-        hits = []
-        # x^2 + (y*tr)x + (y^2*nm -+ 1) = 0
-        for target in (1, -1):
-            b = y * tr
-            c = y * y * nm - target
-            disc = b * b - 4 * c
-            if disc < 0:
-                continue
-            num = Fraction(disc).numerator * Fraction(disc).denominator
-            s = math.isqrt(num)
-            if s * s != num:
-                continue
-            root = Fraction(s, Fraction(disc).denominator)
-            for sgn in (1, -1):
-                x = (-b + sgn * root) / 2
-                if x.denominator == 1 and x + y * approx > 1 + 1e-9:
-                    hits.append(int(x))
-        if hits:
-            return min(hits), y
-    raise AssertionError("oracle sweep exhausted")
 
 
 class TestEltMul:
@@ -276,11 +210,15 @@ class TestPiIndex:
             assert pi_index(m, p) == expected
 
     def test_agreement_with_suborder_units(self):
-        for theta in THETAS:
+        # on a ring lattice (integral trace and norm) the unit of the
+        # conductor-f suborder is eps^pi(f), for every f, prime or not; on the
+        # other lattices it need not be
+        for surd in RING_SURDS:
+            theta = canonicalize(*surd)
             m = unit(theta)
-            for p in PRIMES:
-                power = mat_pow(m, pi_index(m, p))
-                assert (power.a, power.c) == coords(unit(theta, p), p)
+            for f in range(2, 31):
+                power = mat_pow(m, pi_index(m, f))
+                assert (power.a, power.c) == coords(unit(theta, f), f), (surd, f)
 
     def test_cap(self):
         with pytest.raises(SearchLimitExceeded):
@@ -301,13 +239,10 @@ class TestPiIndex:
         theta = canonicalize(*surd)
         m = unit(theta)
         for p in PRIMES_BELOW_600:
-            assert pi_index(m, p) == exact_pi_index(theta, p), p
+            assert pi_index(m, p) == exact_pi_index(Elt(*coords(m), theta), p), p
 
     def test_sweep_includes_non_ring_lattices(self):
-        non_rings = [
-            s for s in SWEEP_SURDS
-            if canonicalize(*s).trace().denominator != 1 or canonicalize(*s).norm().denominator != 1
-        ]
+        non_rings = [s for s in SWEEP_SURDS if s not in RING_SURDS]
         assert non_rings == [(-2, 10, 2), (-4, 26, 2), (-5, 37, 3), (-3, 24, 3), (-5, 65, 5), (-4, 65, 7)]
 
     def test_cap_boundary(self):
