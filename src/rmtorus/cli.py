@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .ecpoints import Curve, count_points, fingerprint, match_curves
-from .freealg import star_defect, u_infinity_relation, u_infinity_system
+from .freealg import star_defect, u_infinity_relation
 from .intmat import IMat2, cokernel_group, mat_det, mat_sub, mat_trace, matrix_A
 from .quadratic import QuadraticIrrational, canonicalize, cf_expand
 from .skewlaurent import (
@@ -227,7 +227,7 @@ def _cmd_star_check(args):
 
 
 def _cmd_ustar_check(args):
-    defect = star_defect(u_infinity_relation(), u_infinity_system())
+    defect = star_defect(u_infinity_relation())
     yield {"preserved": defect.is_zero, "residual": str(defect)}
 
 

@@ -144,7 +144,10 @@ def fingerprint(
     cokernel group.
 
     Both pi(p) and T come from the one unit matrix M: A and M share the
-    eigenvalues eps and its conjugate, so tr(A^k) = tr(M^k)."""
+    eigenvalues eps and its conjugate, so tr(A^k) = tr(M^k).  The cap and
+    the primes are checked before the unit is computed."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")

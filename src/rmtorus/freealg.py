@@ -1,15 +1,17 @@
-"""Free associative algebra on x1, x2 over Q, with rewriting modulo the
-quadratic relation x1*x2 - x2*x1 - x1^2 = 0.
+"""Free associative algebra on x1, x2 over Q, with normal forms modulo the
+quadratic relation x1*x2 - x2*x1 - x1^2 = 0, the Jordan plane.
 
-Words are strings over the alphabet '1', '2'.  The monomial order is
-degree-lexicographic with x2 > x1, so the relation rewrites as
-x2*x1 -> x1*x2 - x1^2 and normal forms are spanned by x1^i * x2^j.
+Words are strings over the alphabet '1', '2'.  Normal forms are spanned by
+the words x1^i * x2^j, and are read through the embedding x1 -> t, x2 -> u*t
+of the Jordan plane in the twisted Laurent ring of the shift u -> u + 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
+
+from .skewlaurent import GR_ONE, UP_ONE, UP_ZERO, UPoly, gr
 
 Rat = Union[int, Fraction]
 
@@ -54,12 +56,6 @@ class NCPoly:
 
     def __sub__(self, other: NCPoly) -> NCPoly:
         return self + (-other)
-
-    def __mul__(self, other: NCPoly) -> NCPoly:
-        return nc_mul(self, other)
-
-    def scale(self, c: Rat) -> NCPoly:
-        return NCPoly({w: Fraction(c) * x for w, x in self._terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
@@ -114,54 +110,41 @@ def nc_mul(f: NCPoly, g: NCPoly) -> NCPoly:
     return NCPoly(out)
 
 
-class RewriteSystem:
-    """Ordered rules word -> NCPoly, each strictly decreasing in deglex."""
-
-    def __init__(self, rules: Iterable[tuple[str, NCPoly]]):
-        self.rules = tuple(rules)
-        if not self.rules:
-            raise ValueError("at least one rule required")
-        for lhs, rhs in self.rules:
-            if not lhs:
-                raise ValueError("empty left-hand side")
-            for w in rhs._terms:
-                if _deglex(w) >= _deglex(lhs):
-                    raise ValueError(f"rule {lhs} -> {rhs} does not decrease the order")
-
-    def leftmost_match(self, word: str) -> tuple[int, int] | None:
-        """(position, rule index) of the leftmost match; earlier rules win ties."""
-        best = None
-        for idx, (lhs, _) in enumerate(self.rules):
-            pos = word.find(lhs)
-            if pos >= 0 and (best is None or pos < best[0]):
-                best = (pos, idx)
-        return best
+def _image(word: str) -> UPoly:
+    """The u-part of the image of word under x1 -> t, x2 -> u*t in
+    Q(i)[u][t; u -> u + 1]: moving u right past t^k gives t^k*u = (u + k)*t^k,
+    so each x2 at position k contributes the factor u + k."""
+    out = UP_ONE
+    for k, letter in enumerate(word):
+        if letter == "2":
+            out = out * UPoly.make([gr(k), GR_ONE])
+    return out
 
 
-def u_infinity_system() -> RewriteSystem:
-    """The single rule x2*x1 -> x1*x2 - x1^2 presenting the quadratic relation."""
-    return RewriteSystem([("21", NCPoly({"12": 1, "11": -1}))])
+def normal_form(f: NCPoly) -> NCPoly:
+    """The normal form of f modulo x1*x2 - x2*x1 - x1^2, a combination of the
+    words x1^i * x2^j.
 
-
-def reduce(f: NCPoly, rs: RewriteSystem) -> NCPoly:
-    """Rewrite leftmost occurrences of rule left-hand words until none remain.
-    Terminates because every step strictly decreases the deglex multiset."""
-    work = f
-    while True:
-        target = None
-        for w in sorted(work._terms, key=_deglex, reverse=True):
-            m = rs.leftmost_match(w)
-            if m is not None:
-                target = (w, m)
-                break
-        if target is None:
-            return work
-        w, (pos, idx) = target
-        lhs, rhs = rs.rules[idx]
-        c = work._terms[w]
-        pre, suf = w[:pos], w[pos + len(lhs):]
-        replacement = nc_mul(nc_mul(NCPoly({pre: 1}), rhs), NCPoly({suf: 1}))
-        work = work - NCPoly({w: c}) + replacement.scale(c)
+    The quotient is the Jordan plane, which x1 -> t, x2 -> u*t embeds in the
+    twisted ring of the shift u -> u + 1; there x1^i * x2^j maps to the rising
+    product (u + i)(u + i + 1)...(u + i + j - 1) * t^(i+j), of u-degree j.  So
+    the degree-n part of f is read back from its image by peeling off the
+    leading u-term against these products."""
+    images: dict[int, UPoly] = {}
+    for w, c in f._terms.items():
+        images[len(w)] = images.get(len(w), UP_ZERO) + _image(w).scale(gr(c))
+    out: dict[str, Fraction] = {}
+    for n, poly in images.items():
+        # rising[j] = (u + n - j)...(u + n - 1), the image of x1^(n-j) * x2^j
+        rising = [UP_ONE]
+        for j in range(1, poly.degree() + 1):
+            rising.append(rising[-1] * UPoly.make([gr(n - j), GR_ONE]))
+        while not poly.is_zero:
+            j = poly.degree()
+            c = poly.coeffs[j]
+            out["1" * (n - j) + "2" * j] = c.re
+            poly = poly - rising[j].scale(c)
+    return NCPoly(out)
 
 
 def star_image(f: NCPoly) -> NCPoly:
@@ -171,12 +154,12 @@ def star_image(f: NCPoly) -> NCPoly:
     return NCPoly({"".join(swap[ch] for ch in reversed(w)): c for w, c in f._terms.items()})
 
 
-def star_defect(rel: NCPoly, rs: RewriteSystem) -> NCPoly:
+def star_defect(rel: NCPoly) -> NCPoly:
     """Normal form of the star image of a relation that itself reduces to zero;
     it is zero iff the involution maps the relation back into the ideal."""
-    if not reduce(rel, rs).is_zero:
-        raise ValueError("relation does not reduce to zero under the system")
-    return reduce(star_image(rel), rs)
+    if not normal_form(rel).is_zero:
+        raise ValueError("relation does not reduce to zero")
+    return normal_form(star_image(rel))
 
 
 def u_infinity_relation() -> NCPoly:

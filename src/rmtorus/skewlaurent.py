@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Union
 
@@ -159,14 +158,8 @@ class UPoly:
         return len(self.coeffs) - 1
 
     def __add__(self, other: UPoly) -> UPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly.make(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else GR_ZERO)
-                + (other.coeffs[i] if i < len(other.coeffs) else GR_ZERO)
-                for i in range(n)
-            ]
-        )
+        short, long = sorted((self.coeffs, other.coeffs), key=len)
+        return UPoly.make([a + b for a, b in zip(short, long)] + list(long[len(short):]))
 
     def __neg__(self) -> UPoly:
         return UPoly(tuple(-c for c in self.coeffs))
@@ -193,11 +186,13 @@ class UPoly:
         return UPoly(tuple(c.conjugate() for c in self.coeffs))
 
     def subst_affine(self, p: GaussRational, q: GaussRational) -> UPoly:
-        """Evaluate at p*u + q; the argument powers are cached per (p, q)."""
-        out = UPoly(())
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out = out + _affine_arg_power(p, q, k).scale(c)
+        """Evaluate at p*u + q, by Horner's rule."""
+        if p == GR_ONE and not q:
+            return self
+        arg = UPoly.make([q, p])
+        out = UP_ZERO
+        for c in reversed(self.coeffs):
+            out = out * arg + UPoly.make([c])
         return out
 
     def __str__(self):
@@ -225,13 +220,6 @@ UP_ONE = UPoly.const(1)
 UP_U = UPoly.gen()
 
 
-@lru_cache(maxsize=None)
-def _affine_arg_power(p: GaussRational, q: GaussRational, k: int) -> UPoly:
-    if k == 0:
-        return UP_ONE
-    return _affine_arg_power(p, q, k - 1) * UPoly.make([q, p])
-
-
 @dataclass(frozen=True)
 class AffineAut:
     """The ring automorphism of Q(i)[u] sending u to p*u + q, p invertible."""
@@ -248,20 +236,17 @@ class AffineAut:
 
     def power(self, m: int) -> AffineAut:
         """alpha^m for any integer m, via the closed form for affine iteration."""
-        return _aut_power(self, m)
+        if m == 0:
+            return AffineAut(GR_ONE, GR_ZERO)
+        if m == 1:
+            return self
+        if self.p == GR_ONE:
+            return AffineAut(GR_ONE, self.q * gr(m))
+        pm = self.p**m
+        return AffineAut(pm, self.q * (pm - GR_ONE) / (self.p - GR_ONE))
 
     def __str__(self):
         return f"u -> ({self.p})*u + ({self.q})"
-
-
-@lru_cache(maxsize=None)
-def _aut_power(alpha: AffineAut, m: int) -> AffineAut:
-    if m == 0:
-        return AffineAut(GR_ONE, GR_ZERO)
-    if alpha.p == GR_ONE:
-        return AffineAut(GR_ONE, alpha.q * gr(m))
-    pm = alpha.p**m
-    return AffineAut(pm, alpha.q * (pm - GR_ONE) / (alpha.p - GR_ONE))
 
 
 def shift_by_one() -> AffineAut:
@@ -270,7 +255,7 @@ def shift_by_one() -> AffineAut:
 
 
 class SkewPoly:
-    """Finitely supported sum of coeff(k) * t^k over Q(i)[u], twisted by alpha."""
+    """Finitely supported sum of b_k * t^k over Q(i)[u], twisted by alpha."""
 
     __slots__ = ("alpha", "_coeffs")
 
@@ -281,9 +266,6 @@ class SkewPoly:
     @classmethod
     def term(cls, alpha: AffineAut, k: int, poly: UPoly) -> SkewPoly:
         return cls(alpha, {k: poly})
-
-    def coeff(self, k: int) -> UPoly:
-        return self._coeffs.get(k, UP_ZERO)
 
     @property
     def is_zero(self) -> bool:
@@ -301,9 +283,6 @@ class SkewPoly:
 
     def __sub__(self, other: SkewPoly) -> SkewPoly:
         return self + (-other)
-
-    def __mul__(self, other: SkewPoly) -> SkewPoly:
-        return skew_mul(self, other)
 
     def __eq__(self, other):
         if not isinstance(other, SkewPoly):
@@ -385,7 +364,7 @@ def conv_star(f: SkewPoly) -> SkewPoly:
     _require_coherent(f.alpha)
     out = {}
     for k in {-j for j in f._coeffs}:
-        out[k] = f.alpha.power(k).apply(f.coeff(-k).conj())
+        out[k] = f.alpha.power(k).apply(f._coeffs[-k].conj())
     return SkewPoly(f.alpha, out)
 
 

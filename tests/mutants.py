@@ -96,8 +96,8 @@ MUTANTS = [
     (
         "match-curves-without-cap-check",
         "src/rmtorus/ecpoints.py",
-        '    if cap < 1:\n        raise ValueError("cap must be >= 1")\n',
-        "",
+        '    if cap < 1:\n        raise ValueError("cap must be >= 1")\n    rows: dict',
+        "    rows: dict",
         ["tests/test_cli.py"],
     ),
     (
@@ -106,6 +106,48 @@ MUTANTS = [
         "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
         "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",
         ["tests/test_ecpoints.py"],
+    ),
+    (
+        "fingerprint-without-cap-check",
+        "src/rmtorus/ecpoints.py",
+        '    if cap < 1:\n        raise ValueError("cap must be >= 1")\n    for p in primes:',
+        "    for p in primes:",
+        ["tests/test_ecpoints.py"],
+    ),
+    (
+        "rising-product-starts-one-late",
+        "src/rmtorus/freealg.py",
+        "out = out * UPoly.make([gr(k), GR_ONE])",
+        "out = out * UPoly.make([gr(k + 1), GR_ONE])",
+        ["tests/test_freealg.py"],
+    ),
+    (
+        "horner-walks-coefficients-upward",
+        "src/rmtorus/skewlaurent.py",
+        "for c in reversed(self.coeffs):",
+        "for c in self.coeffs:",
+        ["tests/test_skewlaurent.py"],
+    ),
+    (
+        "identity-shortcut-ignores-shift",
+        "src/rmtorus/skewlaurent.py",
+        "if p == GR_ONE and not q:",
+        "if p == GR_ONE:",
+        ["tests/test_skewlaurent.py"],
+    ),
+    (
+        "power-shortcut-takes-inverse-as-itself",
+        "src/rmtorus/skewlaurent.py",
+        "        if m == 1:\n",
+        "        if abs(m) == 1:\n",
+        ["tests/test_skewlaurent.py"],
+    ),
+    (
+        "upoly-sum-drops-the-longer-tail",
+        "src/rmtorus/skewlaurent.py",
+        "list(long[len(short):])",
+        "list(long[len(short) + 1:])",
+        ["tests/test_skewlaurent.py"],
     ),
 ]
 

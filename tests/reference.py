@@ -1,12 +1,13 @@
 """Reference computations that the tests compare the package against, and the
-random inputs the tests share; none of them is part of the package.
+inputs the tests share; none of them is part of the package.
 
 Every public function here is either an oracle or an input generator (its
-name starts with `random_`).  An oracle's docstring starts with
-`Checks <module>.<name>`, naming the function of `rmtorus` it checks, and
-says why it is independent of it.  The rule: an oracle never calls the code
-it checks, directly or through a helper in this file.  It may call other
-parts of the package; tests/test_reference.py enforces the rule.
+name starts with `random_`); fixed inputs are constants (SWEEP_SURDS).  An
+oracle's docstring starts with `Checks <module>.<name>`, naming the function
+of `rmtorus` it checks, and says why it is independent of it.  The rule: an
+oracle never calls the code it checks, directly or through a helper in this
+file.  It may call other parts of the package; tests/test_reference.py
+enforces the rule.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from itertools import islice
 from math import isqrt, sqrt
 
 from rmtorus.ecpoints import Curve, is_good_prime
-from rmtorus.freealg import NCPoly, nc_mul
+from rmtorus.freealg import NCPoly
 from rmtorus.intmat import AbelianGroup, IMat2, mat_det, mat_mul, mat_sub
 from rmtorus.quadratic import QuadraticIrrational, canonicalize
 from rmtorus.skewlaurent import AffineAut, SkewPoly, UPoly, gr
@@ -127,6 +128,14 @@ def snf_cokernel(l: IMat2) -> AbelianGroup:
 
 
 # --- continued fractions and period matrices ---------------------------------
+
+
+# the 16 surds of the match-sweep benchmark, P,D,Q; six of them span
+# lattices Z + Z*theta that are not rings
+SWEEP_SURDS = [
+    (-1, 5, 2), (-1, 2, 1), (-3, 13, 2), (-1, 3, 1), (-2, 5, 1), (-3, 21, 2), (-2, 8, 1), (-3, 10, 1),
+    (-2, 10, 2), (-3, 17, 2), (-4, 26, 2), (-5, 37, 3), (-3, 24, 3), (-2, 7, 1), (-5, 65, 5), (-4, 65, 7),
+]
 
 
 def random_surd(rng, dmax: int = 10**4) -> QuadraticIrrational:
@@ -306,14 +315,77 @@ def random_aut(rng, real_only: bool = False) -> AffineAut:
 # --- the free algebra --------------------------------------------------------
 
 
-def reduce_rightmost(f: NCPoly, rs) -> NCPoly:
-    """Checks freealg.reduce: rewrites the rightmost match in the smallest
-    reducible word first, where the package rewrites the leftmost match in
-    the largest."""
+def _deglex(word: str) -> tuple[int, str]:
+    return (len(word), word)
+
+
+class RewriteSystem:
+    """Ordered rules word -> NCPoly, each strictly decreasing in deglex."""
+
+    def __init__(self, rules):
+        self.rules = tuple(rules)
+        if not self.rules:
+            raise ValueError("at least one rule required")
+        for lhs, rhs in self.rules:
+            if not lhs:
+                raise ValueError("empty left-hand side")
+            for w in rhs.terms():
+                if _deglex(w) >= _deglex(lhs):
+                    raise ValueError(f"rule {lhs} -> {rhs} does not decrease the order")
+
+    def leftmost_match(self, word: str):
+        """(position, rule index) of the leftmost match; earlier rules win ties."""
+        best = None
+        for idx, (lhs, _) in enumerate(self.rules):
+            pos = word.find(lhs)
+            if pos >= 0 and (best is None or pos < best[0]):
+                best = (pos, idx)
+        return best
+
+
+def u_infinity_system() -> RewriteSystem:
+    """Checks freealg.normal_form: the system that reduce runs, the single rule
+    x2*x1 -> x1*x2 - x1^2 that orients the quadratic relation by deglex with
+    x2 > x1, whose irreducible words are the x1^i * x2^j."""
+    return RewriteSystem([("21", NCPoly({"12": 1, "11": -1}))])
+
+
+def _rewrite(work: NCPoly, w: str, pos: int, lhs: str, rhs: NCPoly) -> NCPoly:
+    """work with its term in w rewritten at the match of lhs at pos: c*w
+    becomes c * prefix * rhs * suffix."""
+    terms = work.terms()
+    c = terms.pop(w)
+    pre, suf = w[:pos], w[pos + len(lhs):]
+    return NCPoly([*terms.items(), *((pre + v + suf, c * d) for v, d in rhs.terms().items())])
+
+
+def reduce(f: NCPoly, rs: RewriteSystem) -> NCPoly:
+    """Checks freealg.normal_form: rewrites leftmost occurrences of rule
+    left-hand words, in the largest reducible word first, until none remain,
+    with no embedding in a twisted ring.  Terminates because every step
+    strictly decreases the deglex multiset."""
     work = f
     while True:
         target = None
-        for w in sorted(work.terms(), key=lambda w: (len(w), w)):
+        for w in sorted(work.terms(), key=_deglex, reverse=True):
+            m = rs.leftmost_match(w)
+            if m is not None:
+                target = (w, m)
+                break
+        if target is None:
+            return work
+        w, (pos, idx) = target
+        work = _rewrite(work, w, pos, *rs.rules[idx])
+
+
+def reduce_rightmost(f: NCPoly, rs: RewriteSystem) -> NCPoly:
+    """Checks freealg.normal_form: rewrites the rightmost match in the smallest
+    reducible word first, where reduce rewrites the leftmost match in the
+    largest."""
+    work = f
+    while True:
+        target = None
+        for w in sorted(work.terms(), key=_deglex):
             best = None
             for idx, (lhs, _) in enumerate(rs.rules):
                 pos = w.rfind(lhs)
@@ -325,19 +397,15 @@ def reduce_rightmost(f: NCPoly, rs) -> NCPoly:
         if target is None:
             return work
         w, (pos, idx) = target
-        lhs, rhs = rs.rules[idx]
-        c = work.terms()[w]
-        pre, suf = w[:pos], w[pos + len(lhs):]
-        piece = nc_mul(nc_mul(NCPoly({pre: 1}), rhs), NCPoly({suf: 1}))
-        work = work - NCPoly({w: c}) + piece.scale(c)
+        work = _rewrite(work, w, pos, *rs.rules[idx])
 
 
-def self_overlaps(rs) -> list[tuple[int, int, int]]:
-    """Checks freealg.reduce: the diamond-lemma certificate that its normal
-    forms are unique, read from the rules' left sides alone.  Returns
-    (i, j, k) where a proper suffix of rule i's left side of length k is a
-    prefix of rule j's, or one left side sits inside another; empty means no
-    ambiguity can arise."""
+def self_overlaps(rs: RewriteSystem) -> list[tuple[int, int, int]]:
+    """Checks freealg.normal_form: the diamond-lemma certificate that the
+    rewriting normal forms of reduce are unique, read from the rules' left
+    sides alone.  Returns (i, j, k) where a proper suffix of rule i's left
+    side of length k is a prefix of rule j's, or one left side sits inside
+    another; empty means no ambiguity can arise."""
     found = []
     for i, (a, _) in enumerate(rs.rules):
         for j, (b, _) in enumerate(rs.rules):

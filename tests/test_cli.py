@@ -91,6 +91,14 @@ class TestPi:
         assert out == ""
         assert err == "error: cap must be >= 1\n"
 
+    @pytest.mark.parametrize("cmd", ["pi", "lp"])
+    def test_cap_below_one_fails_before_the_unit(self, cmd):
+        # the fundamental unit of this theta alone takes 0.1 s or more
+        start = time.perf_counter()
+        result = run_cli(cmd, "--p", "3", "--cap", "0", "--", "-100000,10000000019,1")
+        assert time.perf_counter() - start < 0.05
+        assert result == (2, "", "error: cap must be >= 1\n")
+
 
 class TestLp:
     def test_worked_pipeline(self):

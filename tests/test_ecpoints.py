@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from reference import count_points_naive, primes_below, snf_cokernel
+from reference import SWEEP_SURDS, count_points_naive, primes_below, snf_cokernel
 from rmtorus.ecpoints import (
     Curve,
     count_points,
@@ -18,6 +18,7 @@ from rmtorus.quadratic import canonicalize
 SQRT2M1 = canonicalize(-1, 2, 1)
 GOLDEN = canonicalize(-1, 5, 2)
 
+PRIMES_BELOW_600 = primes_below(600)
 FIXED_CURVES = [Curve(0, 1), Curve(-1, 0), Curve(1, 1), Curve(0, -4), Curve(2, 3)]
 
 # psi_k, the least strong pseudoprime to each of the first k prime bases,
@@ -157,6 +158,22 @@ class TestFingerprint:
         monkeypatch.setattr(ecpoints, "fundamental_unit", None)
         with pytest.raises(ValueError, match=f"{primes[-1]} is not prime"):
             fingerprint(SQRT2M1, primes)
+
+    @pytest.mark.parametrize("cap", [0, -4])
+    def test_rejects_cap_before_any_unit(self, cap, monkeypatch):
+        monkeypatch.setattr(ecpoints, "fundamental_unit", None)
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            fingerprint(SQRT2M1, [3], cap=cap)
+
+    @pytest.mark.parametrize("surd", SWEEP_SURDS, ids=lambda t: ",".join(map(str, t)))
+    def test_one_minus_theta(self, surd):
+        # 1 - theta spans the same lattice as theta, and p*(1 - theta) the
+        # same conductor-p sublattice as p*theta: same unit, same rows
+        theta = canonicalize(*surd)
+        flipped = canonicalize(theta.P - theta.Q, theta.D, -theta.Q)
+        assert flipped.trace() == 2 - theta.trace()
+        assert flipped.norm() == 1 - theta.trace() + theta.norm()
+        assert fingerprint(flipped, PRIMES_BELOW_600) == fingerprint(theta, PRIMES_BELOW_600)
 
 
 class TestMatch:

@@ -84,7 +84,7 @@ def test_what_the_oracles_check():
         "quadratic._expand_cycle",
         "units.fundamental_unit",
         "units.pi_index",
-        "freealg.reduce",
+        "freealg.normal_form",
     }
 
 

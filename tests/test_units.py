@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from reference import Elt, brute_force_unit, elt_mul, exact_pi_index, primes_below
+from reference import SWEEP_SURDS, Elt, brute_force_unit, elt_mul, exact_pi_index, primes_below
 from rmtorus.ecpoints import fingerprint
 from rmtorus.intmat import IMat2, mat_det, mat_mul, mat_pow, mat_trace, matrix_A
 from rmtorus.quadratic import canonicalize, cf_expand
@@ -16,12 +16,6 @@ SQRT3M1 = canonicalize(-1, 3, 1)
 THETAS = [SQRT2M1, GOLDEN, SQRT3M1]
 PRIMES = [2, 3, 5, 7, 11, 13]
 
-# the 16 surds of the match-sweep benchmark, P,D,Q; six of them span
-# lattices Z + Z*theta that are not rings
-SWEEP_SURDS = [
-    (-1, 5, 2), (-1, 2, 1), (-3, 13, 2), (-1, 3, 1), (-2, 5, 1), (-3, 21, 2), (-2, 8, 1), (-3, 10, 1),
-    (-2, 10, 2), (-3, 17, 2), (-4, 26, 2), (-5, 37, 3), (-3, 24, 3), (-2, 7, 1), (-5, 65, 5), (-4, 65, 7),
-]
 RING_SURDS = [
     s for s in SWEEP_SURDS
     if canonicalize(*s).trace().denominator == 1 and canonicalize(*s).norm().denominator == 1
