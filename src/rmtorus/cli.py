@@ -31,9 +31,7 @@ from .skewlaurent import (
     skew_star,
     verify_example2,
 )
-from .units import SearchLimitExceeded, SubOrder, fundamental_unit
-
-DEFAULT_CAP = 10**6
+from .units import DEFAULT_CAP, SearchLimitExceeded, SubOrder, fundamental_unit
 
 
 def _ints(token: str, n: int, what: str) -> list[int]:
@@ -117,7 +115,8 @@ def _cmd_cfrac(args):
 def _cmd_matrix(args):
     period = cf_expand(_parse_theta(args.theta)).period
     a = matrix_A(period)
-    yield {"period": list(period), "A": a.rows(), "trace": mat_trace(a), "det": mat_det(a)}
+    # det [[a_i, 1], [1, 0]] = -1 per term
+    yield {"period": list(period), "A": a.rows(), "trace": mat_trace(a), "det": (-1) ** len(period)}
 
 
 def _cmd_unit(args):
@@ -154,6 +153,12 @@ def _cmd_count(args):
     yield {"curve": [curve.a, curve.b], "p": args.p, "count": n, "a_p": ap}
 
 
+# longest curves-file line, in characters: room for two coefficients at the
+# 4300-digit input limit; the file is read in bounded pieces, so a file with
+# no newline is never taken in as one line
+CURVES_LINE_MAX = 10_000
+
+
 def _load_curves(args) -> list[Curve]:
     curves = []
     if args.curve:
@@ -161,7 +166,12 @@ def _load_curves(args) -> list[Curve]:
     if args.curves_file:
         try:
             with open(args.curves_file, encoding="utf-8") as fh:
-                for line in fh:
+                lines = iter(functools.partial(fh.readline, CURVES_LINE_MAX + 1), "")
+                for n, line in enumerate(lines, 1):
+                    if len(line) > CURVES_LINE_MAX and not line.endswith("\n"):
+                        raise ValueError(
+                            f"curves file line {n} is longer than {CURVES_LINE_MAX} characters"
+                        )
                     line = line.strip()
                     if line:
                         curves.append(_parse_curve(line))

@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 from .intmat import AbelianGroup, IMat2, build_Lp, cokernel_group, mat_pow, mat_trace
 from .quadratic import QuadraticIrrational
-from .units import SubOrder, fundamental_unit, pi_index
+from .units import DEFAULT_CAP, SubOrder, fundamental_unit, pi_index
 
 BACKEND = "python"  # name of the point-count kernel, for reports
 
@@ -137,7 +137,7 @@ class Fingerprint:
 
 
 def fingerprint(
-    theta: QuadraticIrrational, primes: Sequence[int], cap: int = 10**6
+    theta: QuadraticIrrational, primes: Sequence[int], cap: int = DEFAULT_CAP
 ) -> list[Fingerprint]:
     """For each p: the index pi(p) and T = tr(A^pi(p)) for the period matrix A
     of theta, from which a Fingerprint derives L_p, det(I - L_p) and the
@@ -183,7 +183,7 @@ def match_curves(
     theta: QuadraticIrrational,
     curves: Sequence[Curve],
     primes: Sequence[int],
-    cap: int = 10**6,
+    cap: int = DEFAULT_CAP,
 ) -> Iterator[MatchReport]:
     """One MatchReport per curve, lazily and in order: per good prime,
     compare |det(I - L_p)| with |E(F_p)|.  A report records agreement where
@@ -213,7 +213,7 @@ def match_curve(
     theta: QuadraticIrrational,
     e: Curve,
     primes: Sequence[int],
-    cap: int = 10**6,
+    cap: int = DEFAULT_CAP,
 ) -> MatchReport:
     """match_curves for a single curve."""
     return next(match_curves(theta, [e], primes, cap=cap))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .intmat import matrix_A
+from .intmat import _period_product, matrix_A
 
 
 def _is_square(n: int) -> bool:
@@ -59,14 +59,6 @@ class QuadraticIrrational:
 
     def floor(self) -> int:
         return _floor(self.P, isqrt(self.D), self.Q)
-
-    def trace(self) -> Fraction:
-        """Sum of the value and its conjugate, 2P/Q."""
-        return Fraction(2 * self.P, self.Q)
-
-    def norm(self) -> Fraction:
-        """Product of the value and its conjugate, (P^2 - D)/Q^2."""
-        return Fraction(self.P * self.P - self.D, self.Q * self.Q)
 
     def __str__(self):
         return f"({self.P}+sqrt({self.D}))/{self.Q}"
@@ -145,17 +137,16 @@ def _mobius(theta: QuadraticIrrational, a: int, b: int, c: int, d: int) -> Quadr
     return _from_parts(A * C - a * c * D, Q * det, D, den)
 
 
-def _expand_cycle(theta: QuadraticIrrational) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+def _expand_cycle(theta: QuadraticIrrational) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Run the integer recurrence on (P, Q), D fixed, into its cycle and once
-    round it.
+    round it; returns (preperiod, period).
 
-    Returns (preperiod, period, P, Q) with (P + sqrt(D))/Q the surd at the
-    cycle start.  By Galois' theorem a tail is purely periodic iff it is
-    reduced (x > 1 and -1 < x' < 0), so the period starts at the first
-    reduced state and ends when that state recurs; no state is stored.
-    Once the surd is reduced there are O(D) states; reaching the reduced
-    range from a tall input shrinks P, Q like Euclid's algorithm, so the cap
-    on steps over both phases gets a term linear in their bit size.
+    By Galois' theorem a tail is purely periodic iff it is reduced (x > 1
+    and -1 < x' < 0), so the period starts at the first reduced state and
+    ends when that state recurs; no state is stored.  Once the surd is
+    reduced there are O(D) states; reaching the reduced range from a tall
+    input shrinks P, Q like Euclid's algorithm, so the cap on steps over both
+    phases gets a term linear in their bit size.
     """
     D, s = theta.D, isqrt(theta.D)
     P, Q = theta.P, theta.Q
@@ -185,28 +176,25 @@ def _expand_cycle(theta: QuadraticIrrational) -> tuple[tuple[int, ...], tuple[in
         if r:
             raise ValueError(f"recurrence left the integers at P={P}: Q does not divide D - P^2")
         if P == P0 and Q == Q0:
-            return tuple(quotients[:pre]), tuple(quotients[pre:]), P0, Q0
+            return tuple(quotients[:pre]), tuple(quotients[pre:])
     raise RuntimeError(f"no cycle within {cap} steps; recurrence invariant broken")
 
 
 def cf_expand(theta: QuadraticIrrational) -> ContinuedFraction:
     """Minimal-period continued fraction of theta, found by exact cycle detection."""
-    pre, per, _, _ = _expand_cycle(theta)
-    return ContinuedFraction(pre, per)
+    return ContinuedFraction(*_expand_cycle(theta))
 
 
 def cf_value(cf: ContinuedFraction) -> QuadraticIrrational:
     """Exact value of an eventually periodic continued fraction.
 
     The periodic tail y > 1 solves the fixed-point equation of the period's
-    matrix product; the preperiod is then unwound exactly.
+    matrix product; the preperiod's matrix product then maps it to the value.
     """
     m = matrix_A(cf.period)
     # c*y^2 + (d - a)*y - b = 0 for m = [[a, b], [c, d]],  root with y > 1
     B = m.a - m.d
     disc = B * B + 4 * m.b * m.c
-    value = _from_parts(B, 1, disc, 2 * m.c)
-    for a in reversed(cf.preperiod):
-        value = _mobius(value, a, 1, 1, 0)
-    return value
+    tail = _from_parts(B, 1, disc, 2 * m.c)
+    return _mobius(tail, *_period_product(cf.preperiod, 0, len(cf.preperiod)))
 

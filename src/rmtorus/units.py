@@ -6,11 +6,11 @@ A unit is held in one form: the integer matrix of multiplication by it on
 the lattice's basis {1, f*theta}.  Products of units are mat_mul, powers
 mat_pow, norm and trace mat_det and mat_trace.
 
-The unit computation rides on the continued fraction: once the expansion of a
-surd enters its cycle, the period's matrix product fixes the cycle surd, and
-the bottom row of that matrix evaluates to the smallest unit > 1 of the
-multiplier ring of the lattice.  Tests certify minimality against a separate
-brute-force norm-equation sweep.
+The unit computation rides on the continued fraction, a product of integer
+matrices: the period's matrix multiplies the cycle's eigenvector by the
+smallest unit > 1 of the multiplier ring of the lattice, and conjugating it
+by the preperiod's matrix moves that action onto the lattice's basis.  Tests
+certify minimality against a separate brute-force norm-equation sweep.
 
 The index pi(p) never forms the powers of the unit exactly: it scans the
 unit's matrix reduced mod p, O(pi(p)) word-size steps.
@@ -19,10 +19,11 @@ unit's matrix reduced mod p, O(pi(p)) word-size steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .intmat import IMat2, mat_det, matrix_A
+from .intmat import IMat2, _period_product, mat_mul, matrix_A
 from .quadratic import QuadraticIrrational, _expand_cycle, _mobius
+
+DEFAULT_CAP = 10**6  # steps of the unit power search, the CLI's --cap
 
 
 class SearchLimitExceeded(RuntimeError):
@@ -41,12 +42,6 @@ class SubOrder:
             raise ValueError("conductor must be >= 1")
 
 
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ValueError(f"{what} is not integral: {value}")
-    return value.numerator
-
-
 def fundamental_unit(order: SubOrder) -> IMat2:
     """Smallest unit eps > 1 (norm +-1) of the multiplier ring of the lattice
     Z + (f*theta)Z, f the conductor, as the integer matrix M of multiplication
@@ -56,25 +51,18 @@ def fundamental_unit(order: SubOrder) -> IMat2:
     mat_trace(M) and mat_det(M) are its trace and norm."""
     f = order.conductor
     psi = _mobius(order.theta, f, 0, 0, 1) if f != 1 else order.theta
-    _, period, P, Q = _expand_cycle(psi)
-    m = matrix_A(period)
-    # the cycle surd w = (P + sqrt(D))/Q is fixed by the period matrix, so its
-    # bottom row gives the unit c*w + d multiplying the lattice into itself;
-    # rewrite it on the basis {1, psi}
-    x = _as_int(Fraction(m.c * (P - psi.P) + m.d * Q, Q), "unit x")
-    y = _as_int(Fraction(m.c * psi.Q, Q), "unit y")
-    # eps*psi = x*psi + y*psi^2 with psi^2 = tr(psi)*psi - nm(psi)
-    unit = IMat2(
-        x,
-        _as_int(-y * psi.norm(), "matrix entry"),
-        y,
-        _as_int(x + y * psi.trace(), "matrix entry"),
-    )
-    assert abs(mat_det(unit)) == 1
-    return unit
+    pre, period = _expand_cycle(psi)
+    # psi = [pre; w] for the cycle surd w, so (psi, 1) is proportional to
+    # B(w, 1) with B the preperiod's product, and the period matrix A has the
+    # eigenvector (w, 1) for eps: K = B A B^-1 multiplies (psi, 1) by eps,
+    # that is eps*psi = K.a*psi + K.b and eps = K.c*psi + K.d
+    a, b, c, d = _period_product(pre, 0, len(pre))
+    s = -1 if len(pre) % 2 else 1  # det B, so B^-1 = s*adj(B)
+    k = mat_mul(mat_mul(IMat2(a, b, c, d), matrix_A(period)), IMat2(s * d, -s * b, -s * c, s * a))
+    return IMat2(k.d, k.b, k.c, k.a)
 
 
-def pi_index(unit: IMat2, p: int, cap: int = 10**6) -> int:
+def pi_index(unit: IMat2, p: int, cap: int = DEFAULT_CAP) -> int:
     """Least k >= 1 with p dividing the second coordinate of eps^k, for the
     unit matrix M = fundamental_unit(SubOrder(theta)): eps^k lies in
     Z + (p*theta)Z.  Raises SearchLimitExceeded beyond cap steps.

@@ -52,11 +52,25 @@ MUTANTS = [
         ["tests/test_intmat.py"],
     ),
     (
-        "wrong-cycle-state",
-        "src/rmtorus/quadratic.py",
-        "return tuple(quotients[:pre]), tuple(quotients[pre:]), P0, Q0",
-        "return tuple(quotients[:pre]), tuple(quotients[pre:]), theta.P, theta.Q",
+        "preperiod-inverse-drops-sign",
+        "src/rmtorus/units.py",
+        "s = -1 if len(pre) % 2 else 1",
+        "s = 1",
         ["tests/test_units.py"],
+    ),
+    (
+        "unit-basis-transposed",
+        "src/rmtorus/units.py",
+        "return IMat2(k.d, k.b, k.c, k.a)",
+        "return IMat2(k.d, k.c, k.b, k.a)",
+        ["tests/test_units.py"],
+    ),
+    (
+        "cf-value-preperiod-reversed",
+        "src/rmtorus/quadratic.py",
+        "_period_product(cf.preperiod, 0, len(cf.preperiod))",
+        "_period_product(cf.preperiod[::-1], 0, len(cf.preperiod))",
+        ["tests/test_quadratic.py"],
     ),
     (
         "pi-index-loop-off-by-one",
@@ -77,6 +91,20 @@ MUTANTS = [
         "src/rmtorus/cli.py",
         "        sys.set_int_max_str_digits(limit)\n    print(line)",
         "        pass\n    print(line)",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "matrix-det-minus-one-for-every-period",
+        "src/rmtorus/cli.py",
+        '"det": (-1) ** len(period)',
+        '"det": -1',
+        ["tests/test_cli.py"],
+    ),
+    (
+        "curves-line-limit-one-short",
+        "src/rmtorus/cli.py",
+        "if len(line) > CURVES_LINE_MAX and",
+        "if len(line) >= CURVES_LINE_MAX and",
         ["tests/test_cli.py"],
     ),
     (

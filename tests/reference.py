@@ -212,6 +212,37 @@ def fold_matrix_A(period):
 # --- units -------------------------------------------------------------------
 
 
+def trace_norm(theta: QuadraticIrrational) -> tuple[Fraction, Fraction]:
+    """Checks units.fundamental_unit, as the part its oracles below share:
+    the trace 2P/Q and the norm (P^2 - D)/Q^2 of theta = (P + sqrt(D))/Q,
+    read off the triple.  The oracles expand theta^2 = tr*theta - nm with
+    them; the unit layer works on integer matrices and forms neither."""
+    return Fraction(2 * theta.P, theta.Q), Fraction(theta.P**2 - theta.D, theta.Q**2)
+
+
+def _integral(value: Fraction) -> int:
+    if value.denominator != 1:
+        raise ValueError(f"not integral: {value}")
+    return value.numerator
+
+
+def cycle_surd_unit(theta: QuadraticIrrational, f: int = 1) -> IMat2:
+    """Checks units.fundamental_unit through the cycle surd w = (P + sqrt(D))/Q
+    at the start of the period of psi = f*theta, found by a dict of states:
+    the bottom row of the period matrix, folded term by term, gives the unit
+    c*w + d, which is rewritten on the basis {1, psi} in Fraction arithmetic
+    with psi^2 = tr*psi - nm, and every entry is checked to be an integer.
+    Returns the matrix of the unit on {1, psi}, as fundamental_unit does."""
+    psi = canonicalize(f * theta.P, f * f * theta.D, theta.Q)
+    _, period, P, Q = expand_cycle_by_dict(psi)
+    m = fold_matrix_A(period)
+    x = _integral(Fraction(m.c * (P - psi.P) + m.d * Q, Q))
+    y = _integral(Fraction(m.c * psi.Q, Q))
+    tr, nm = trace_norm(psi)
+    # eps*psi = x*psi + y*psi^2 = -y*nm + (x + y*tr)*psi
+    return IMat2(x, _integral(-y * nm), y, _integral(x + y * tr))
+
+
 @dataclass(frozen=True)
 class Elt:
     """x + y*theta, for the exact product below."""
@@ -227,8 +258,7 @@ def elt_mul(a: Elt, b: Elt) -> Elt:
     tr(theta)*theta - nm(theta), with no matrix in sight."""
     if a.theta != b.theta:
         raise ValueError("elements live over different theta")
-    tr = a.theta.trace()
-    nm = a.theta.norm()
+    tr, nm = trace_norm(a.theta)
     x = Fraction(a.x * b.x) - a.y * b.y * nm
     y = Fraction(a.x * b.y + a.y * b.x) + a.y * b.y * tr
     if x.denominator != 1 or y.denominator != 1:
@@ -255,8 +285,7 @@ def brute_force_unit(theta: QuadraticIrrational, conductor: int = 1, vmax: int =
     the first y admitting any; two units can share that y (golden ratio: phi
     and phi^2 both have coordinate 1), so all roots are compared.  Returns
     its coordinates (x, y)."""
-    tr = theta.trace()
-    nm = theta.norm()
+    tr, nm = trace_norm(theta)
     approx = (theta.P + sqrt(theta.D)) / theta.Q
     for y in range(conductor, vmax * conductor + 1, conductor):
         hits = []

@@ -1,16 +1,17 @@
 import argparse
 import io
 import json
+import random
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from reference import expand_cycle_by_dict, fold_matrix_A
+from reference import expand_cycle_by_dict, fold_matrix_A, random_surd
 from rmtorus import cli, ecpoints, quadratic, units
-from rmtorus.cli import DEFAULT_CAP, build_parser, main
-from rmtorus.intmat import mat_pow, mat_trace, matrix_A
+from rmtorus.cli import CURVES_LINE_MAX, DEFAULT_CAP, build_parser, main
+from rmtorus.intmat import mat_det, mat_pow, mat_trace, matrix_A
 from rmtorus.quadratic import canonicalize, cf_expand
 
 
@@ -48,6 +49,21 @@ class TestMatrix:
         code, out, _ = run_cli("matrix", "--", "-1,5,2")
         assert code == 0
         assert json.loads(out) == {"period": [1], "A": [[1, 1], [1, 0]], "trace": 1, "det": -1}
+
+    def test_det_is_the_det_of_the_product(self):
+        # det is printed from the period's length alone; on random surds moved
+        # into (0, 1), periods of both parities, it must be the det of the
+        # product folded term by term
+        rng = random.Random(61)
+        parities = set()
+        for _ in range(200):
+            t = random_surd(rng)
+            code, out, _ = run_cli("matrix", "--", f"{t.P - t.floor() * t.Q},{t.D},{t.Q}")
+            assert code == 0
+            row = json.loads(out)
+            assert row["det"] == mat_det(fold_matrix_A(row["period"])), t
+            parities.add(len(row["period"]) % 2)
+        assert parities == {0, 1}
 
 
 class TestUnit:
@@ -181,6 +197,38 @@ class TestMatch:
         lines = [json.loads(line) for line in out.splitlines()]
         curves = {tuple(l["curve"]) for l in lines}
         assert curves == {(0, 1), (-1, 0)}
+
+    @pytest.mark.parametrize("tail", ["\n", ""], ids=["newline", "eof"])
+    def test_curves_file_line_at_the_limit(self, tmp_path, tail):
+        # two coefficients at the 4300-digit input limit fit in one line, and
+        # a line of exactly CURVES_LINE_MAX characters is read whole
+        big = "9" * 4300
+        path = tmp_path / "curves.csv"
+        path.write_text(f"{big},-{big}\n" + "0,1".ljust(CURVES_LINE_MAX) + tail, encoding="utf-8")
+        code, out, err = run_cli(
+            "match", "--curves-file", str(path), "--primes", "5,7", "--", "-1,2,1"
+        )
+        assert (code, err) == (0, "")
+        summaries = [json.loads(line) for line in out.splitlines() if '"matching"' in line]
+        assert [s["curve"] for s in summaries] == [[int(big), -int(big)], [0, 1]]
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [
+            ("0,1".ljust(CURVES_LINE_MAX + 1), 1),
+            ("0,1\n" + "0,1".ljust(CURVES_LINE_MAX + 1) + "\n", 2),
+            ("\0" * (CURVES_LINE_MAX + 1), 1),  # what /dev/zero holds, cut one past the limit
+        ],
+        ids=["no-newline", "second-line", "nul-bytes"],
+    )
+    def test_curves_file_line_past_the_limit(self, tmp_path, text, n):
+        path = tmp_path / "curves.csv"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(
+            "match", "--curves-file", str(path), "--primes", "5", "--", "-1,2,1"
+        )
+        assert (code, out) == (2, "")
+        assert f"line {n} is longer than {CURVES_LINE_MAX} characters" in err
 
     def test_requires_some_curve(self):
         code, _, err = run_cli("match", "--primes", "5", "--", "-1,2,1")
@@ -434,7 +482,7 @@ class TestLongPeriods:
         code, out, err = run_cli(cmd, "--", theta)
         assert (code, err) == (0, "")
         for module in (quadratic, units):
-            monkeypatch.setattr(module, "_expand_cycle", expand_cycle_by_dict)
+            monkeypatch.setattr(module, "_expand_cycle", lambda t: expand_cycle_by_dict(t)[:2])
         for module in (quadratic, units, cli):
             monkeypatch.setattr(module, "matrix_A", fold_matrix_A)
         assert run_cli(cmd, "--", theta) == (0, out, "")

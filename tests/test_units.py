@@ -3,7 +3,17 @@ import random
 
 import pytest
 
-from reference import SWEEP_SURDS, Elt, brute_force_unit, elt_mul, exact_pi_index, primes_below
+from reference import (
+    SWEEP_SURDS,
+    Elt,
+    brute_force_unit,
+    cycle_surd_unit,
+    elt_mul,
+    exact_pi_index,
+    primes_below,
+    random_surd,
+    trace_norm,
+)
 from rmtorus.ecpoints import fingerprint
 from rmtorus.intmat import IMat2, mat_det, mat_mul, mat_pow, mat_trace, matrix_A
 from rmtorus.quadratic import canonicalize, cf_expand
@@ -17,8 +27,7 @@ THETAS = [SQRT2M1, GOLDEN, SQRT3M1]
 PRIMES = [2, 3, 5, 7, 11, 13]
 
 RING_SURDS = [
-    s for s in SWEEP_SURDS
-    if canonicalize(*s).trace().denominator == 1 and canonicalize(*s).norm().denominator == 1
+    s for s in SWEEP_SURDS if all(v.denominator == 1 for v in trace_norm(canonicalize(*s)))
 ]
 PRIMES_BELOW_600 = primes_below(600)
 
@@ -144,17 +153,37 @@ class TestFundamentalUnit:
         # Z + Z*theta is not a ring here, and the unit of Z + (f*theta)Z has a
         # non-integral matrix on {1, theta}; on {1, f*theta} it is integral
         theta = canonicalize(*surd)
-        assert theta.trace().denominator != 1
+        tr, nm = trace_norm(theta)
+        assert tr.denominator != 1
         m = unit(theta, f)
         assert coords(m, f) == xy
         assert all(type(v) is int for v in (m.a, m.b, m.c, m.d))
         assert mat_det(m) == 1
         x, y = xy
-        assert (x + y * theta.trace()).denominator != 1 or (y * theta.norm()).denominator != 1
+        assert (x + y * tr).denominator != 1 or (y * nm).denominator != 1
 
     def test_conductor_unit_of_non_ring_lattice_brute_force(self):
         theta = canonicalize(-600, 734400, 900)
         assert coords(unit(theta, 3), 3) == brute_force_unit(theta, 3)
+
+    def test_matches_cycle_surd_oracle(self):
+        # seeded random surds, Q of both signs, each at f = 1 and at one
+        # conductor in 2..12, plus tall triples whose walk into the cycle is
+        # long; the preperiod's sign (-1)^r must be met with r of both parities
+        rng = random.Random(59)
+        cases = []
+        for i in range(2000):
+            theta = random_surd(rng)
+            cases += [(theta, 1), (theta, 2 + i % 11)]
+        for p in (10**9, -(10**12) - 7, 3**40):
+            for d in (5, 7, 13):
+                cases += [(canonicalize(p, d, d - p * p), f) for f in (1, 2, 12)]
+        parities = set()
+        for theta, f in cases:
+            psi = canonicalize(f * theta.P, f * f * theta.D, theta.Q)
+            parities.add(len(cf_expand(psi).preperiod) % 2)
+            assert unit(theta, f) == cycle_surd_unit(theta, f), (theta, f)
+        assert parities == {0, 1}
 
     def test_bad_conductor(self):
         with pytest.raises(ValueError):
