@@ -2,15 +2,16 @@
 
 A value is the integer triple (P, D, Q) meaning (P + sqrt(D))/Q, with D > 0
 not a perfect square and Q != 0.  The sign of the irrational part lives in Q,
-so the numerator always carries +sqrt(D).  Triples are kept in a reduced form
-satisfying Q | D - P^2, which makes the continued fraction recurrence purely
-integral: no floating point is used anywhere in this module.
+so the numerator always carries +sqrt(D).  A value is stored as its primitive
+triple: Q | D - P^2, which makes the continued fraction recurrence purely
+integral, and gcd(P, (D - P^2)/Q, Q) = 1, so that every other triple of the
+value is a positive multiple (kP, k^2 D, kQ) of it and equal values have equal
+fields.  No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .intmat import _period_product, matrix_A
@@ -26,9 +27,10 @@ def _floor(P: int, s: int, Q: int) -> int:
     return (P + s) // Q if Q > 0 else (-P - s - 1) // (-Q)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class QuadraticIrrational:
-    """(P + sqrt(D)) / Q with Q | D - P^2.  Build unreduced triples via canonicalize()."""
+    """(P + sqrt(D)) / Q as its primitive triple: Q | D - P^2 and
+    gcd(P, (D - P^2)/Q, Q) = 1.  Build any other triple via canonicalize()."""
 
     P: int
     D: int
@@ -43,19 +45,8 @@ class QuadraticIrrational:
             raise ValueError(
                 f"({self.P},{self.D},{self.Q}) violates Q | D - P^2; use canonicalize()"
             )
-
-    def _key(self):
-        # P/Q, D/Q^2 and sign(Q) pin down the real number exactly, independent
-        # of which (equivalent) triple represents it.
-        return (Fraction(self.P, self.Q), Fraction(self.D, self.Q * self.Q), self.Q > 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadraticIrrational):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        if gcd(self.P, (self.D - self.P * self.P) // self.Q, self.Q) != 1:
+            raise ValueError(f"({self.P},{self.D},{self.Q}) is not primitive; use canonicalize()")
 
     def floor(self) -> int:
         return _floor(self.P, isqrt(self.D), self.Q)
@@ -87,39 +78,28 @@ class ContinuedFraction:
 
 
 def canonicalize(P: int, D: int, Q: int) -> QuadraticIrrational:
-    """Reduce (P, D, Q) to the stored form: strip joint square content from the
-    triple, then rescale so that Q | D - P^2.  Idempotent."""
+    """The primitive triple of (P + sqrt(D))/Q: rescale by |Q| so that
+    Q | D - P^2, then divide by the content g = gcd(P, (D - P^2)/Q, Q), which
+    gives (P/g, D/g^2, Q/g).  Idempotent."""
     if D <= 0 or _is_square(D):
         raise ValueError(f"D must be positive and not a perfect square, got {D}")
     if Q == 0:
         raise ValueError("Q must be nonzero")
-    while True:
-        g = gcd(P, Q)
-        if g > 1 and D % (g * g) == 0:
-            P //= g
-            Q //= g
-            D //= g * g
-        else:
-            break
     if (D - P * P) % Q != 0:
         s = abs(Q)
         P *= s
         D *= s * s
         Q *= s
-    return QuadraticIrrational(P, D, Q)
+    g = gcd(P, (D - P * P) // Q, Q)
+    return QuadraticIrrational(P // g, D // (g * g), Q // g)
 
 
 def _from_parts(P: int, m: int, D: int, Q: int) -> QuadraticIrrational:
-    """Canonical value of (P + m*sqrt(D))/Q for any integer multiplier m != 0."""
+    """Primitive triple of (P + m*sqrt(D))/Q for any integer multiplier m != 0."""
     if m == 0:
         raise ValueError("value is rational (zero irrational part)")
     if m < 0:
         P, m, Q = -P, -m, -Q
-    g = gcd(gcd(P, m), Q)
-    if g > 1:
-        P //= g
-        m //= g
-        Q //= g
     return canonicalize(P, D * m * m, Q)
 
 
@@ -150,6 +130,9 @@ def _expand_cycle(theta: QuadraticIrrational) -> tuple[tuple[int, ...], tuple[in
     """
     D, s = theta.D, isqrt(theta.D)
     P, Q = theta.P, theta.Q
+    # checked once: each step below keeps Q | D - P^2
+    if (D - P * P) % Q:
+        raise ValueError(f"recurrence leaves the integers at P={P}: Q does not divide D - P^2")
     quotients: list[int] = []
     cap = 2 * D + 8 * (abs(P).bit_length() + abs(Q).bit_length()) + 64
     for _ in range(cap):
@@ -159,11 +142,10 @@ def _expand_cycle(theta: QuadraticIrrational) -> tuple[tuple[int, ...], tuple[in
             break
         a = _floor(P, s, Q)
         quotients.append(a)
-        # theta' = 1/(theta - a):  P' = a*Q - P,  Q' = (D - P'^2)/Q
+        # theta' = 1/(theta - a):  P' = a*Q - P,  Q' = (D - P'^2)/Q, exact as
+        # D - P'^2 = D - P^2 (mod Q); then D - P'^2 = Q*Q', so Q' | D - P'^2
         P = a * Q - P
-        Q, r = divmod(D - P * P, Q)
-        if r:
-            raise ValueError(f"recurrence left the integers at P={P}: Q does not divide D - P^2")
+        Q = (D - P * P) // Q
     else:
         raise RuntimeError(f"no cycle within {cap} steps; recurrence invariant broken")
     pre, P0, Q0 = len(quotients), P, Q
@@ -172,9 +154,7 @@ def _expand_cycle(theta: QuadraticIrrational) -> tuple[tuple[int, ...], tuple[in
         a = (P + s) // Q
         quotients.append(a)
         P = a * Q - P
-        Q, r = divmod(D - P * P, Q)
-        if r:
-            raise ValueError(f"recurrence left the integers at P={P}: Q does not divide D - P^2")
+        Q = (D - P * P) // Q
         if P == P0 and Q == Q0:
             return tuple(quotients[:pre]), tuple(quotients[pre:])
     raise RuntimeError(f"no cycle within {cap} steps; recurrence invariant broken")

@@ -45,6 +45,27 @@ MUTANTS = [
         ["tests/test_quadratic.py"],
     ),
     (
+        "content-taken-as-gcd-of-p-and-q",
+        "src/rmtorus/quadratic.py",
+        "g = gcd(P, (D - P * P) // Q, Q)",
+        "g = gcd(P, Q)",
+        ["tests/test_quadratic.py"],
+    ),
+    (
+        "constructor-accepts-non-primitive",
+        "src/rmtorus/quadratic.py",
+        "if gcd(self.P, (self.D - self.P * self.P) // self.Q, self.Q) != 1:",
+        "if False:",
+        ["tests/test_quadratic.py"],
+    ),
+    (
+        "expand-cycle-without-entry-check",
+        "src/rmtorus/quadratic.py",
+        "    if (D - P * P) % Q:\n        raise ValueError(f\"recurrence leaves",
+        "    if False:\n        raise ValueError(f\"recurrence leaves",
+        ["tests/test_quadratic.py::TestExpand::test_broken_invariant_raises"],
+    ),
+    (
         "leaf-split-drops-middle-term",
         "src/rmtorus/intmat.py",
         "e, f, g, h = _period_product(period, mid, hi)",
@@ -117,8 +138,8 @@ MUTANTS = [
     (
         "build-lp-transposed",
         "src/rmtorus/intmat.py",
-        "L = IMat2(T - p, p, T - p - 1, p)",
-        "L = IMat2(T - p, T - p - 1, p, p)",
+        "return IMat2(T - p, p, T - p - 1, p)",
+        "return IMat2(T - p, T - p - 1, p, p)",
         ["tests/test_intmat.py"],
     ),
     (

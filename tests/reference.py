@@ -13,7 +13,7 @@ enforces the rule.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import isqrt, sqrt
+from math import isqrt, lcm, sqrt
 
 from rmtorus.ecpoints import Curve, is_good_prime
 from rmtorus.freealg import NCPoly
@@ -138,8 +138,22 @@ SWEEP_SURDS = [
 ]
 
 
+def primitive_triple(P: int, D: int, Q: int) -> tuple[int, int, int]:
+    """Checks quadratic.canonicalize: the least |Q0| for which the value
+    (P + sqrt(D))/Q has an integer triple (P0, D0, Q0) with Q0 | D0 - P0^2,
+    read off in Fraction arithmetic with no content gcd.  With x = P/Q and
+    c = (D - P^2)/Q^2, a triple of the value with denominator Q0 needs Q0*x
+    and Q0*c integral (then D0 = (Q0*x)^2 + Q0*(Q0*c) is too), so |Q0| is
+    the lcm k of their denominators and Q0 = sign(Q)*k."""
+    x = Fraction(P, Q)
+    c = Fraction(D - P * P, Q * Q)
+    q0 = lcm(x.denominator, c.denominator) * (1 if Q > 0 else -1)
+    d0 = Fraction(D, Q * Q) * q0 * q0
+    return int(x * q0), int(d0), q0
+
+
 def random_surd(rng, dmax: int = 10**4) -> QuadraticIrrational:
-    """Random reduced triple with D <= dmax: pick D and P, then a divisor of
+    """Random primitive triple with D <= dmax: pick D and P, then a divisor of
     D - P^2, of either sign, as Q."""
     while True:
         d = rng.randint(2, dmax)

@@ -38,6 +38,12 @@ class TestCfrac:
         code, _, err = run_cli("cfrac", "1,2")
         assert code == 2
 
+    def test_one_value_prints_one_line(self):
+        # (2 + sqrt(5))/4 and (6 + sqrt(45))/12 are one value: cfrac echoes
+        # its primitive triple for both
+        lines = {run_cli("cfrac", "--", token)[1] for token in ("2,5,4", "6,45,12")}
+        assert lines == {'{"P":8,"D":80,"Q":16,"preperiod":[],"period":[1,16]}\n'}
+
     def test_tsv(self):
         code, out, _ = run_cli("cfrac", "--output", "tsv", "--", "0,3,1")
         assert code == 0

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from reference import expand_cycle_by_dict, oracle_quotients, random_surd, trace_norm
+from reference import (
+    expand_cycle_by_dict,
+    oracle_quotients,
+    primitive_triple,
+    random_surd,
+    trace_norm,
+)
 from rmtorus.quadratic import (
     ContinuedFraction,
     QuadraticIrrational,
@@ -60,6 +66,30 @@ class TestCanonicalize:
     def test_constructor_rejects_unreduced(self):
         with pytest.raises(ValueError):
             QuadraticIrrational(1, 3, 3)
+
+    def test_constructor_rejects_non_primitive(self):
+        # (2 + sqrt(8))/2 = 1 + sqrt(2): Q | D - P^2 holds, but the triple is
+        # twice (1, 2, 1)
+        with pytest.raises(ValueError, match="not primitive"):
+            QuadraticIrrational(2, 8, 2)
+
+    def test_matches_primitive_triple_oracle(self):
+        # every triple of a value is a positive multiple of the primitive one,
+        # so canonicalize must map all of them to the same fields
+        rng = random.Random(71)
+        cases = 0
+        while cases < 5000:
+            p = rng.randint(-60, 60)
+            d = rng.randint(2, 3000)
+            q = rng.randint(-40, 40)
+            if q == 0 or math.isqrt(d) ** 2 == d:
+                continue
+            t = canonicalize(p, d, q)
+            assert (t.P, t.D, t.Q) == primitive_triple(p, d, q), (p, d, q)
+            for k in range(2, 10):
+                s = canonicalize(k * p, k * k * d, k * q)
+                assert (s.P, s.D, s.Q) == (t.P, t.D, t.Q), (p, d, q, k)
+            cases += 1
 
     def test_value_equality_across_representations(self):
         assert canonicalize(0, 8, 2) == canonicalize(0, 2, 1)
@@ -136,7 +166,9 @@ class TestExpand:
             p = rng.randint(-300, 300)
             qs = [q for q in range(1, 301) if (d - p * p) % q == 0]
             q = rng.choice(qs) * rng.choice((1, -1))
-            t = QuadraticIrrational(p, d, q)
+            # a scaled triple steps through the scaled states, so the
+            # primitive one has the same quotients
+            t = canonicalize(p, d, q)
             assert _expand_cycle(t) == expand_cycle_by_dict(t)[:2], t
             cases += 1
 

@@ -42,9 +42,6 @@ ALLOWED = {
     "freealg.NCPoly.__hash__": "value dunder: consistent with __eq__",
     "skewlaurent.SkewPoly.__eq__": "value dunder: equality of skew polynomials",
     "skewlaurent.SkewPoly.__hash__": "value dunder: consistent with __eq__",
-    "quadratic.QuadraticIrrational.__eq__": "value dunder: equality of the real numbers",
-    "quadratic.QuadraticIrrational.__hash__": "value dunder: consistent with __eq__",
-    "quadratic.QuadraticIrrational._key": "the normalised key behind __eq__ and __hash__",
     "quadratic.QuadraticIrrational.__str__": "value dunder: printing",
     "intmat.IMat2.__str__": "value dunder: printing",
     "intmat.AbelianGroup.__str__": "value dunder: printing",

@@ -80,6 +80,7 @@ def test_what_the_oracles_check():
         "intmat.cokernel_group",
         "intmat.matrix_A",
         "intmat.mat_mul",
+        "quadratic.canonicalize",
         "quadratic.cf_expand",
         "quadratic._expand_cycle",
         "units.fundamental_unit",
