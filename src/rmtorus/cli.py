@@ -20,12 +20,10 @@ from .freealg import star_defect, u_infinity_relation
 from .intmat import IMat2, cokernel_group, mat_det, mat_sub, mat_trace, matrix_A
 from .quadratic import QuadraticIrrational, canonicalize, cf_expand
 from .skewlaurent import (
-    AffineAut,
     SkewPoly,
     UP_ONE,
     UP_U,
     check_star_coherent,
-    gr,
     shift_by_one,
     skew_mul,
     skew_star,
@@ -64,11 +62,14 @@ def _parse_primes(token: str) -> list[int]:
         raise ValueError(f"primes must be a comma-separated integer list, got {token!r}") from None
 
 
-def _parse_gauss(token: str):
+def _parse_gauss(token: str) -> tuple[Fraction, Fraction]:
+    """(re, im) of the token re,im; each part an integer, a/b or a plain
+    decimal.  An exponent is refused, since Fraction would compute 10**exponent
+    and a large one would not finish."""
     parts = token.split(",")
-    if len(parts) == 2:
+    if len(parts) == 2 and "e" not in token.lower():
         try:
-            return gr(Fraction(parts[0]), Fraction(parts[1]))
+            return Fraction(parts[0]), Fraction(parts[1])
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"expected re,im with rational parts, got {token!r}")
@@ -232,8 +233,7 @@ def _cmd_skew_demo(args):
 
 
 def _cmd_star_check(args):
-    alpha = AffineAut(_parse_gauss(args.p), _parse_gauss(args.q))
-    yield {"coherent": check_star_coherent(alpha)}
+    yield {"coherent": check_star_coherent(_parse_gauss(args.p), _parse_gauss(args.q))}
 
 
 def _cmd_ustar_check(args):
@@ -285,7 +285,7 @@ COMMANDS = {
     "skew-demo": (_cmd_skew_demo, "twisted Laurent ring demo (text output)", []),
     "star-check": (
         _cmd_star_check,
-        "test whether conjugation commutes with u -> p*u+q",
+        "test whether the twist u -> p*u+q, given by (re, im) parts, is real",
         [
             ("--p", {"required": True, "help": "scale as re,im (rationals)"}),
             ("--q", {"required": True, "help": "shift as re,im (rationals)"}),

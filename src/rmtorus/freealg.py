@@ -3,7 +3,9 @@ quadratic relation x1*x2 - x2*x1 - x1^2 = 0, the Jordan plane.
 
 Words are strings over the alphabet '1', '2'.  Normal forms are spanned by
 the words x1^i * x2^j, and are read through the embedding x1 -> t, x2 -> u*t
-of the Jordan plane in the twisted Laurent ring of the shift u -> u + 1.
+of the Jordan plane in the twisted Laurent ring Q[u][t, t^-1; u -> u + 1].
+Both rings hold their coefficients as Fractions, so the embedding and its
+inverse convert nothing.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .skewlaurent import GR_ONE, UP_ONE, UP_ZERO, UPoly, gr
+from .skewlaurent import UP_ONE, UP_ZERO, UPoly
 
 Rat = Union[int, Fraction]
 
@@ -112,12 +114,12 @@ def nc_mul(f: NCPoly, g: NCPoly) -> NCPoly:
 
 def _image(word: str) -> UPoly:
     """The u-part of the image of word under x1 -> t, x2 -> u*t in
-    Q(i)[u][t; u -> u + 1]: moving u right past t^k gives t^k*u = (u + k)*t^k,
+    Q[u][t; u -> u + 1]: moving u right past t^k gives t^k*u = (u + k)*t^k,
     so each x2 at position k contributes the factor u + k."""
     out = UP_ONE
     for k, letter in enumerate(word):
         if letter == "2":
-            out = out * UPoly.make([gr(k), GR_ONE])
+            out = out * UPoly.make([Fraction(k), Fraction(1)])
     return out
 
 
@@ -132,17 +134,17 @@ def normal_form(f: NCPoly) -> NCPoly:
     leading u-term against these products."""
     images: dict[int, UPoly] = {}
     for w, c in f._terms.items():
-        images[len(w)] = images.get(len(w), UP_ZERO) + _image(w).scale(gr(c))
+        images[len(w)] = images.get(len(w), UP_ZERO) + _image(w).scale(c)
     out: dict[str, Fraction] = {}
     for n, poly in images.items():
         # rising[j] = (u + n - j)...(u + n - 1), the image of x1^(n-j) * x2^j
         rising = [UP_ONE]
         for j in range(1, poly.degree() + 1):
-            rising.append(rising[-1] * UPoly.make([gr(n - j), GR_ONE]))
+            rising.append(rising[-1] * UPoly.make([Fraction(n - j), Fraction(1)]))
         while not poly.is_zero:
             j = poly.degree()
             c = poly.coeffs[j]
-            out["1" * (n - j) + "2" * j] = c.re
+            out["1" * (n - j) + "2" * j] = c
             poly = poly - rising[j].scale(c)
     return NCPoly(out)
 

@@ -1,154 +1,39 @@
-"""Twisted Laurent polynomials R[t, t^-1; alpha] over R = Q(i)[u], with the
-equivalent convolution-algebra presentation on finitely supported functions
-Z -> R, an involution, and the coherence test it requires.
+"""Twisted Laurent polynomials R[t, t^-1; alpha] over R = Q[u], their
+involution, and the reality test for a twist given with complex parts.
 
-The twist is an affine substitution u -> p*u + q.  Moving t^m left past a
-coefficient b applies the m-th power of the substitution: t^m * b = alpha^m(b) * t^m.
-Coefficients are exact: rational real and imaginary parts throughout; the
-conjugation i -> -i is what makes the coherence condition falsifiable.
+The twist is an affine substitution u -> p*u + q with rational p != 0 and q.
+Moving t^m left past a coefficient b applies the m-th power of the
+substitution: t^m * b = alpha^m(b) * t^m.  Coefficients are exact rationals
+(fractions.Fraction), the same numbers that freealg's polynomials hold.
+Complex coefficients and complex twists are not offered: over Q conjugation
+is the identity, so the involution needs no coherence condition.  The
+convolution presentation on finitely supported functions Z -> R is kept in
+tests/reference.py, as the oracle of skew_mul and skew_star.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping, Union
-
-Rat = Union[int, Fraction]
-
-
-@dataclass(frozen=True)
-class GaussRational:
-    """(a + b*i)/d with integers, d > 0 and gcd(a, b, d) = 1.
-
-    A single shared denominator keeps the hot arithmetic on plain integers
-    with one gcd normalization per operation; re/im expose the parts as
-    Fractions."""
-
-    a: int
-    b: int
-    d: int
-
-    @staticmethod
-    def _make(a: int, b: int, d: int) -> GaussRational:
-        if d == 0:
-            raise ZeroDivisionError("zero denominator in Q(i)")
-        if d < 0:
-            a, b, d = -a, -b, -d
-        g = gcd(gcd(a, b), d)
-        if g > 1:
-            a //= g
-            b //= g
-            d //= g
-        return GaussRational(a, b, d)
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.a, self.d)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.b, self.d)
-
-    def __add__(self, other: GaussRational) -> GaussRational:
-        return GaussRational._make(
-            self.a * other.d + other.a * self.d,
-            self.b * other.d + other.b * self.d,
-            self.d * other.d,
-        )
-
-    def __sub__(self, other: GaussRational) -> GaussRational:
-        return GaussRational._make(
-            self.a * other.d - other.a * self.d,
-            self.b * other.d - other.b * self.d,
-            self.d * other.d,
-        )
-
-    def __neg__(self) -> GaussRational:
-        return GaussRational(-self.a, -self.b, self.d)
-
-    def __mul__(self, other: GaussRational) -> GaussRational:
-        return GaussRational._make(
-            self.a * other.a - self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.d * other.d,
-        )
-
-    def __truediv__(self, other: GaussRational) -> GaussRational:
-        n = other.a * other.a + other.b * other.b
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussRational._make(
-            (self.a * other.a + self.b * other.b) * other.d,
-            (self.b * other.a - self.a * other.b) * other.d,
-            self.d * n,
-        )
-
-    def __pow__(self, k: int) -> GaussRational:
-        if k < 0:
-            return GR_ONE / (self ** (-k))
-        result = GR_ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def conjugate(self) -> GaussRational:
-        return GaussRational(self.a, -self.b, self.d)
-
-    def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
-
-    def __str__(self):
-        if not self.b:
-            return str(self.re)
-        if not self.a:
-            return f"{self.im}i"
-        sign = "+" if self.b > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
-
-def gr(re: Rat, im: Rat = 0) -> GaussRational:
-    """Convenience constructor for exact Q(i) scalars."""
-    re = Fraction(re)
-    im = Fraction(im)
-    return GaussRational._make(
-        re.numerator * im.denominator,
-        im.numerator * re.denominator,
-        re.denominator * im.denominator,
-    )
-
-
-GR_ZERO = gr(0)
-GR_ONE = gr(1)
+from typing import Iterable, Mapping
 
 
 @dataclass(frozen=True)
 class UPoly:
-    """Polynomial in u over Q(i); coeffs[k] multiplies u^k, no trailing zeros."""
+    """Polynomial in u over Q; coeffs[k] multiplies u^k, no trailing zeros."""
 
-    coeffs: tuple[GaussRational, ...]
+    coeffs: tuple[Fraction, ...]
 
     @staticmethod
-    def make(coeffs: Iterable[GaussRational]) -> UPoly:
+    def make(coeffs: Iterable[Fraction]) -> UPoly:
         cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
         return UPoly(tuple(cs))
 
     @staticmethod
-    def const(c: Rat | GaussRational) -> UPoly:
-        if not isinstance(c, GaussRational):
-            c = gr(c)
-        return UPoly.make([c])
-
-    @staticmethod
-    def gen() -> UPoly:
-        return UPoly.make([GR_ZERO, GR_ONE])
+    def const(c: int | Fraction) -> UPoly:
+        return UPoly.make([Fraction(c)])
 
     @property
     def is_zero(self) -> bool:
@@ -170,24 +55,20 @@ class UPoly:
     def __mul__(self, other: UPoly) -> UPoly:
         if self.is_zero or other.is_zero:
             return UPoly(())
-        out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
             if not ci:
                 continue
             for j, cj in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ci * cj
+                out[i + j] += ci * cj
         return UPoly.make(out)
 
-    def scale(self, c: GaussRational) -> UPoly:
+    def scale(self, c: Fraction) -> UPoly:
         return UPoly.make([c * x for x in self.coeffs])
 
-    def conj(self) -> UPoly:
-        """Coefficientwise i -> -i; u itself is fixed."""
-        return UPoly(tuple(c.conjugate() for c in self.coeffs))
-
-    def subst_affine(self, p: GaussRational, q: GaussRational) -> UPoly:
+    def subst_affine(self, p: Fraction, q: Fraction) -> UPoly:
         """Evaluate at p*u + q, by Horner's rule."""
-        if p == GR_ONE and not q:
+        if p == 1 and not q:
             return self
         arg = UPoly.make([q, p])
         out = UP_ZERO
@@ -217,15 +98,15 @@ class UPoly:
 
 UP_ZERO = UPoly(())
 UP_ONE = UPoly.const(1)
-UP_U = UPoly.gen()
+UP_U = UPoly((Fraction(0), Fraction(1)))
 
 
 @dataclass(frozen=True)
 class AffineAut:
-    """The ring automorphism of Q(i)[u] sending u to p*u + q, p invertible."""
+    """The ring automorphism of Q[u] sending u to p*u + q, p nonzero."""
 
-    p: GaussRational
-    q: GaussRational
+    p: Fraction
+    q: Fraction
 
     def __post_init__(self):
         if not self.p:
@@ -237,13 +118,14 @@ class AffineAut:
     def power(self, m: int) -> AffineAut:
         """alpha^m for any integer m, via the closed form for affine iteration."""
         if m == 0:
-            return AffineAut(GR_ONE, GR_ZERO)
+            return AffineAut(Fraction(1), Fraction(0))
         if m == 1:
             return self
-        if self.p == GR_ONE:
-            return AffineAut(GR_ONE, self.q * gr(m))
-        pm = self.p**m
-        return AffineAut(pm, self.q * (pm - GR_ONE) / (self.p - GR_ONE))
+        if self.p == 1:
+            return AffineAut(self.p, self.q * m)
+        # an int p would make p ** -k a float
+        pm = Fraction(self.p) ** m
+        return AffineAut(pm, self.q * (pm - 1) / (self.p - 1))
 
     def __str__(self):
         return f"u -> ({self.p})*u + ({self.q})"
@@ -251,11 +133,11 @@ class AffineAut:
 
 def shift_by_one() -> AffineAut:
     """The substitution u -> u + 1."""
-    return AffineAut(GR_ONE, GR_ONE)
+    return AffineAut(Fraction(1), Fraction(1))
 
 
 class SkewPoly:
-    """Finitely supported sum of b_k * t^k over Q(i)[u], twisted by alpha."""
+    """Finitely supported sum of b_k * t^k over Q[u], twisted by alpha."""
 
     __slots__ = ("alpha", "_coeffs")
 
@@ -323,49 +205,19 @@ def skew_mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     return SkewPoly(f.alpha, out)
 
 
-def check_star_coherent(alpha: AffineAut) -> bool:
-    """Whether conjugation commutes with the twist, i.e. p and q are real.
-    This is exactly what the involution below needs to be well defined."""
-    return alpha.p.im == 0 and alpha.q.im == 0
-
-
-def _require_coherent(alpha: AffineAut) -> None:
-    if not check_star_coherent(alpha):
-        raise ValueError(f"involution undefined: conjugation does not commute with {alpha}")
+def check_star_coherent(p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]) -> bool:
+    """Whether the twist u -> p*u + q, with p and q given as (re, im) pairs,
+    is real.  Complex conjugation commutes with the twist exactly then, which
+    is what the involution t* = t^-1, b* = conj(b) would need over Q(i)."""
+    if p == (0, 0):
+        raise ValueError("p must be nonzero")
+    return p[1] == 0 and q[1] == 0
 
 
 def skew_star(f: SkewPoly) -> SkewPoly:
-    """Involution with t* = t^-1 and b* = conj(b): term by term,
-    (b t^k)* = alpha^(-k)(conj(b)) * t^(-k)."""
-    _require_coherent(f.alpha)
-    out = {}
-    for k, b in f._coeffs.items():
-        out[-k] = f.alpha.power(-k).apply(b.conj())
-    return SkewPoly(f.alpha, out)
-
-
-def conv_mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    """Convolution product of functions Z -> R:
-    (f g)(k) = sum_l f(l) * t^l g(k-l) t^-l, with t^l b t^-l = alpha^l(b)."""
-    _check_same_alpha(f, g)
-    out: dict[int, UPoly] = {}
-    for k in {m + n for m in f._coeffs for n in g._coeffs}:
-        acc = UP_ZERO
-        for l, fl in f._coeffs.items():
-            gk = g._coeffs.get(k - l)
-            if gk is not None:
-                acc = acc + fl * f.alpha.power(l).apply(gk)
-        out[k] = acc
-    return SkewPoly(f.alpha, out)
-
-
-def conv_star(f: SkewPoly) -> SkewPoly:
-    """Involution in convolution coordinates: f*(k) = alpha^k(conj(f(-k)))."""
-    _require_coherent(f.alpha)
-    out = {}
-    for k in {-j for j in f._coeffs}:
-        out[k] = f.alpha.power(k).apply(f._coeffs[-k].conj())
-    return SkewPoly(f.alpha, out)
+    """Involution with t* = t^-1 fixing Q[u]: term by term,
+    (b t^k)* = t^-k b = alpha^(-k)(b) * t^(-k)."""
+    return SkewPoly(f.alpha, {-k: f.alpha.power(-k).apply(b) for k, b in f._coeffs.items()})
 
 
 def verify_example2(alpha: AffineAut | None = None) -> bool:

@@ -166,8 +166,8 @@ MUTANTS = [
     (
         "rising-product-starts-one-late",
         "src/rmtorus/freealg.py",
-        "out = out * UPoly.make([gr(k), GR_ONE])",
-        "out = out * UPoly.make([gr(k + 1), GR_ONE])",
+        "out = out * UPoly.make([Fraction(k), Fraction(1)])",
+        "out = out * UPoly.make([Fraction(k + 1), Fraction(1)])",
         ["tests/test_freealg.py"],
     ),
     (
@@ -180,8 +180,8 @@ MUTANTS = [
     (
         "identity-shortcut-ignores-shift",
         "src/rmtorus/skewlaurent.py",
-        "if p == GR_ONE and not q:",
-        "if p == GR_ONE:",
+        "if p == 1 and not q:",
+        "if p == 1:",
         ["tests/test_skewlaurent.py"],
     ),
     (
@@ -197,6 +197,49 @@ MUTANTS = [
         "list(long[len(short):])",
         "list(long[len(short) + 1:])",
         ["tests/test_skewlaurent.py"],
+    ),
+    (
+        "affine-power-int-base",
+        "src/rmtorus/skewlaurent.py",
+        "pm = Fraction(self.p) ** m",
+        "pm = self.p ** m",
+        ["tests/test_skewlaurent.py"],
+    ),
+    (
+        "star-check-ignores-q-imaginary",
+        "src/rmtorus/skewlaurent.py",
+        "return p[1] == 0 and q[1] == 0",
+        "return p[1] == 0",
+        ["tests/test_skewlaurent.py"],
+    ),
+    # one mutant per hypothesis property, each run against that property alone
+    (
+        "power-closed-form-wrong-sign",
+        "src/rmtorus/skewlaurent.py",
+        "self.q * (pm - 1) / (self.p - 1)",
+        "self.q * (pm + 1) / (self.p - 1)",
+        ["tests/test_skew_properties.py::test_associative"],
+    ),
+    (
+        "star-keeps-the-degree",
+        "src/rmtorus/skewlaurent.py",
+        "{-k: f.alpha.power(-k).apply(b)",
+        "{k: f.alpha.power(-k).apply(b)",
+        ["tests/test_skew_properties.py::test_star_is_an_involution"],
+    ),
+    (
+        "star-twists-forward",
+        "src/rmtorus/skewlaurent.py",
+        "{-k: f.alpha.power(-k).apply(b)",
+        "{-k: f.alpha.power(k).apply(b)",
+        ["tests/test_skew_properties.py::test_star_reverses_products"],
+    ),
+    (
+        "skew-mul-twists-the-left-factor",
+        "src/rmtorus/skewlaurent.py",
+        "am * twist.apply(bn)",
+        "twist.apply(am) * bn",
+        ["tests/test_skew_properties.py::test_matches_convolution_oracle"],
     ),
 ]
 

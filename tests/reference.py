@@ -19,7 +19,7 @@ from rmtorus.ecpoints import Curve, is_good_prime
 from rmtorus.freealg import NCPoly
 from rmtorus.intmat import AbelianGroup, IMat2, mat_det, mat_mul, mat_sub
 from rmtorus.quadratic import QuadraticIrrational, canonicalize
-from rmtorus.skewlaurent import AffineAut, SkewPoly, UPoly, gr
+from rmtorus.skewlaurent import UP_ZERO, AffineAut, SkewPoly, UPoly
 
 
 # --- primes and point counts -------------------------------------------------
@@ -327,32 +327,55 @@ def brute_force_unit(theta: QuadraticIrrational, conductor: int = 1, vmax: int =
 # --- twisted Laurent polynomials ---------------------------------------------
 
 
-def random_gauss(rng, real_only: bool = False):
-    """Random Q(i) scalar: real part in {-2, ..., 2}/{1, 2}, imaginary part in
-    {-1, 0, 1} (0 when real_only)."""
-    re = Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
-    im = Fraction(0) if real_only else Fraction(rng.randint(-1, 1))
-    return gr(re, im)
+def conv_mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
+    """Checks skewlaurent.skew_mul: the crossed product as the convolution of
+    finitely supported functions Z -> Q[u] (f and g share alpha),
+    (f g)(k) = sum_l f(l) * t^l g(k-l) t^-l with t^l b t^-l = alpha^l(b),
+    summed one degree k of the result at a time instead of term by term."""
+    out: dict[int, UPoly] = {}
+    for k in {m + n for m in f._coeffs for n in g._coeffs}:
+        acc = UP_ZERO
+        for l, fl in f._coeffs.items():
+            gk = g._coeffs.get(k - l)
+            if gk is not None:
+                acc = acc + fl * f.alpha.power(l).apply(gk)
+        out[k] = acc
+    return SkewPoly(f.alpha, out)
 
 
-def random_upoly(rng, maxdeg: int = 3, real_only: bool = False) -> UPoly:
+def conv_star(f: SkewPoly) -> SkewPoly:
+    """Checks skewlaurent.skew_star: the involution in convolution
+    coordinates, f*(k) = alpha^k(f(-k)), read at each degree k of the result
+    instead of from each term of f."""
+    out = {}
+    for k in {-j for j in f._coeffs}:
+        out[k] = f.alpha.power(k).apply(f._coeffs[-k])
+    return SkewPoly(f.alpha, out)
+
+
+def random_rational(rng) -> Fraction:
+    """Random rational in {-2, ..., 2}/{1, 2}."""
+    return Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
+
+
+def random_upoly(rng, maxdeg: int = 3) -> UPoly:
     """Random polynomial in u of degree at most maxdeg."""
     deg = rng.randint(0, maxdeg)
-    return UPoly.make([random_gauss(rng, real_only) for _ in range(deg + 1)])
+    return UPoly.make([random_rational(rng) for _ in range(deg + 1)])
 
 
-def random_skew(rng, alpha: AffineAut, real_only: bool = False) -> SkewPoly:
+def random_skew(rng, alpha: AffineAut) -> SkewPoly:
     """Random skew Laurent polynomial with 1 to 3 terms t^k, -3 <= k <= 3."""
     support = rng.sample(range(-3, 4), rng.randint(1, 3))
-    return SkewPoly(alpha, {k: random_upoly(rng, real_only=real_only) for k in support})
+    return SkewPoly(alpha, {k: random_upoly(rng) for k in support})
 
 
-def random_aut(rng, real_only: bool = False) -> AffineAut:
-    """Random affine twist u -> p*u + q with p != 0."""
+def random_aut(rng) -> AffineAut:
+    """Random affine twist u -> p*u + q with p != 0, p = 1 among others."""
     while True:
-        p = random_gauss(rng, real_only)
+        p = random_rational(rng)
         if p:
-            return AffineAut(p, random_gauss(rng, real_only))
+            return AffineAut(p, random_rational(rng))
 
 
 # --- the free algebra --------------------------------------------------------

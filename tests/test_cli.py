@@ -350,6 +350,32 @@ class TestStarCheck:
         assert code == 0
         assert json.loads(out) == {"coherent": True}
 
+    def test_plain_decimals(self):
+        assert run_cli("star-check", "--p", "0.5,0", "--q", "1.25,.5") == (
+            0, '{"coherent":false}\n', ""
+        )
+
+    def test_zero_scale(self):
+        assert run_cli("star-check", "--p", "0,0", "--q", "1,0") == (
+            2, "", "error: p must be nonzero\n"
+        )
+
+    @pytest.mark.parametrize(
+        "p, q, bad",
+        [
+            ("1e99999999,0", "0,0", "1e99999999,0"),
+            ("1,0", "1e-9999999999,0", "1e-9999999999,0"),
+            ("1,0", "0,2E1", "0,2E1"),
+        ],
+        ids=["large-exponent", "small-exponent", "capital-e"],
+    )
+    def test_exponent_is_bad_input_at_once(self, p, q, bad):
+        # Fraction would compute 10**exponent, which for these does not finish
+        start = time.perf_counter()
+        result = run_cli("star-check", "--p", p, "--q", q)
+        assert time.perf_counter() - start < 1.0
+        assert result == (2, "", f"error: expected re,im with rational parts, got {bad!r}\n")
+
 
 class TestUstarCheck:
     def test_golden_output(self):

@@ -13,7 +13,7 @@ from rmtorus.freealg import (
     star_image,
     u_infinity_relation,
 )
-from rmtorus.skewlaurent import SkewPoly, UP_ONE, UP_U, UPoly, gr, shift_by_one, skew_mul
+from rmtorus.skewlaurent import SkewPoly, UP_ONE, UP_U, UPoly, shift_by_one, skew_mul
 
 X1 = NCPoly({"1": 1})
 X2 = NCPoly({"2": 1})
@@ -35,7 +35,7 @@ def embed(f):
     """The image of f under x1 -> t, x2 -> u*t, multiplied out by skew_mul."""
     out = SkewPoly(ALPHA, {})
     for w, c in f.terms().items():
-        acc = SkewPoly.term(ALPHA, 0, UPoly.const(gr(c)))
+        acc = SkewPoly.term(ALPHA, 0, UPoly.const(c))
         for ch in w:
             acc = skew_mul(acc, IMAGES[ch])
         out = out + acc

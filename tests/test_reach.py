@@ -28,11 +28,6 @@ ALLOWED = {
     "cli.entry": "the console script `rmtorus` of pyproject.toml",
     "ecpoints.match_curve": "rmbench/spans.py traces it by name",
     "quadratic.cf_value": "the exact inverse of cf_expand that the README documents",
-    "skewlaurent.conv_mul": "the paper's convolution presentation of the crossed product",
-    "skewlaurent.conv_star": "the involution in the convolution presentation",
-    "skewlaurent.GaussRational.__pow__": "alpha^m of a general affine twist (p != 1)",
-    "skewlaurent.GaussRational.__sub__": "alpha^m of a general affine twist (p != 1)",
-    "skewlaurent.GaussRational.__truediv__": "alpha^m of a general affine twist (p != 1)",
     "freealg.nc_mul": "the product of the free algebra, which star_image reverses",
     "freealg.NCPoly.terms": "the one public reader of a polynomial's coefficients",
     "freealg.NCPoly.__add__": "value dunder: the free algebra's addition",
