@@ -186,10 +186,9 @@ def _load_curves(args) -> list[Curve]:
 def _cmd_match(args):
     theta = _parse_theta(args.theta)
     primes = _parse_primes(args.primes)
-    for report in match_curves(theta, _load_curves(args), primes, cap=args.cap):
-        curve = [report.curve.a, report.curve.b]
-        for entry in report.entries:
-            row = entry.data
+    for e, entries, skipped in match_curves(theta, _load_curves(args), primes, cap=args.cap):
+        curve = [e.a, e.b]
+        for row, n, match in entries:
             g = row.group
             yield {
                 "p": row.p,
@@ -198,14 +197,14 @@ def _cmd_match(args):
                 "detImL": row.det_iml,
                 "group": [g.d1, g.d2],
                 "curve": curve,
-                "ec_count": entry.ec_count,
-                "match": entry.match,
+                "ec_count": n,
+                "match": match,
             }
         yield {
             "curve": curve,
-            "matching": report.matching(),
-            "mismatching": report.mismatching(),
-            "skipped": list(report.skipped),
+            "matching": [row.p for row, _, match in entries if match],
+            "mismatching": [row.p for row, _, match in entries if not match],
+            "skipped": list(skipped),
         }
 
 

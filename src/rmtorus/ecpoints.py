@@ -2,32 +2,40 @@
 and the per-prime fingerprint pipeline that compares the cokernel group
 order |det(I - L_p)| with the curve's point count.
 
-The character sum in count_points is the one point-count kernel, in pure
-Python.
+count_points is the one point-count kernel, in pure Python: a sum over x of
+the number of square roots of x^3 + a*x + b, read from a table of the
+squares of F_p.  The tests check it against two oracles that share nothing
+with a table, count_points_naive (all pairs (x, y)) and the Euler-criterion
+character sum.  The table has p bytes, so p is bounded by COUNT_P_MAX.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Sequence
 
 from .intmat import AbelianGroup, IMat2, build_Lp, cokernel_group, mat_pow, mat_trace
 from .quadratic import QuadraticIrrational
-from .units import DEFAULT_CAP, SubOrder, fundamental_unit, pi_index
+from .units import DEFAULT_CAP, SearchLimitExceeded, SubOrder, fundamental_unit, pi_index
+from .value import Value
 
 BACKEND = "python"  # name of the point-count kernel, for reports
 
+# largest p that count_points takes: a table of p bytes and O(p) steps,
+# about 10 MB and 2 s
+COUNT_P_MAX = 10**7
 
-@dataclass(frozen=True)
-class Curve:
+
+class Curve(Value):
     """Short Weierstrass curve with integer coefficients; must be non-singular."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         if self.discriminant() == 0:
-            raise ValueError(f"singular curve: a={self.a}, b={self.b}")
+            raise ValueError(f"singular curve: a={a}, b={b}")
 
     def discriminant(self) -> int:
         return -16 * (4 * self.a**3 + 27 * self.b**2)
@@ -85,41 +93,57 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def is_good_prime(e: Curve, p: int) -> bool:
-    """True iff p > 3 and p does not divide the discriminant."""
+def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+
+
+def is_good_prime(e: Curve, p: int) -> bool:
+    """True iff p > 3 and p does not divide the discriminant."""
+    _require_prime(p)
+    return _is_good(e, p)
+
+
+def _is_good(e: Curve, p: int) -> bool:
+    """is_good_prime for a p already known to be prime."""
     return p > 3 and e.discriminant() % p != 0
 
 
 def count_points(e: Curve, p: int) -> tuple[int, int]:
-    """(|E(F_p)|, a_p) via the quadratic-character sum; a_p = p + 1 - count."""
+    """(|E(F_p)|, a_p) for a good prime p <= COUNT_P_MAX; a_p = p + 1 - count."""
     if not is_good_prime(e, p):
         raise ValueError(f"p={p} is not a good prime for {e}")
+    return _count(e, p)
+
+
+def _count(e: Curve, p: int) -> tuple[int, int]:
+    """count_points for a p already known to be a good prime.
+
+    sq[v] is the number of y in F_p with y^2 = v: 1 at 0, 2 at each of the
+    (p - 1)/2 nonzero squares, 0 elsewhere.  The count is then the point at
+    infinity plus the sum of sq over the values of the cubic."""
+    if p > COUNT_P_MAX:
+        raise SearchLimitExceeded(
+            f"p={p} is above {COUNT_P_MAX}, the largest p whose points are counted"
+        )
     a, b = e.a % p, e.b % p
-    half = (p - 1) // 2
-    s = 0
-    for x in range(p):
-        v = ((x * x % p) * x + a * x + b) % p
-        if v == 0:
-            continue
-        s += 1 if pow(v, half, p) == 1 else -1
-    n = p + 1 + s
+    sq = bytearray(p)
+    sq[0] = 1
+    for y in range(1, (p + 1) // 2):
+        sq[y * y % p] = 2
+    n = 1 + sum(sq[((x * x + a) * x + b) % p] for x in range(p))
     ap = p + 1 - n
     if ap * ap > 4 * p:
         raise ArithmeticError(f"count {n} violates |a_p| <= 2*sqrt({p})")
     return n, ap
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(namedtuple("Fingerprint", "p pi T")):
     """Per-prime data of the unit/matrix pipeline for one theta: the prime p,
     the index pi(p) and T = tr(A^pi(p)); L_p, det(I - L_p) and the cokernel
     group are derived from them."""
 
-    p: int
-    pi: int
-    T: int
+    __slots__ = ()
 
     @property
     def Lp(self) -> IMat2:
@@ -149,8 +173,12 @@ def fingerprint(
     if cap < 1:
         raise ValueError("cap must be >= 1")
     for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        _require_prime(p)
+    return _fingerprint(theta, primes, cap)
+
+
+def _fingerprint(theta: QuadraticIrrational, primes: Sequence[int], cap: int) -> list[Fingerprint]:
+    """fingerprint for a cap and primes already checked."""
     unit = fundamental_unit(SubOrder(theta))
     rows = []
     for p in primes:
@@ -159,54 +187,39 @@ def fingerprint(
     return rows
 
 
-@dataclass(frozen=True)
-class MatchEntry:
-    data: Fingerprint
-    ec_count: int
-    match: bool
-
-
-@dataclass(frozen=True)
-class MatchReport:
-    curve: Curve
-    entries: tuple[MatchEntry, ...]
-    skipped: tuple[int, ...]
-
-    def matching(self) -> list[int]:
-        return [e.data.p for e in self.entries if e.match]
-
-    def mismatching(self) -> list[int]:
-        return [e.data.p for e in self.entries if not e.match]
-
-
 def match_curves(
     theta: QuadraticIrrational,
     curves: Sequence[Curve],
     primes: Sequence[int],
     cap: int = DEFAULT_CAP,
-) -> Iterator[MatchReport]:
-    """One MatchReport per curve, lazily and in order: per good prime,
-    compare |det(I - L_p)| with |E(F_p)|.  A report records agreement where
-    it happens; it asserts nothing about whether matches must exist.
+) -> Iterator[tuple[Curve, tuple[tuple[Fingerprint, int, bool], ...], tuple[int, ...]]]:
+    """One report (curve, entries, skipped) per curve, lazily and in order.
+    entries holds, per good prime in order, (fingerprint row, |E(F_p)|,
+    whether |det(I - L_p)| equals it); skipped holds the primes bad for the
+    curve.  A report records agreement where it happens; it asserts nothing
+    about whether matches must exist.
 
-    The fingerprint of each prime is computed once and shared by every curve
-    for which it is good.  Laziness keeps the order of effects: a curve's
-    report is yielded before any prime only a later curve needs is searched."""
+    Each distinct prime is tested for primality once, before any work.  The
+    fingerprint of each prime is computed once and shared by every curve for
+    which it is good.  Laziness keeps the order of effects: a curve's report
+    is yielded before any prime only a later curve needs is searched."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    for p in dict.fromkeys(primes):
+        _require_prime(p)
     rows: dict[int, Fingerprint] = {}
     for e in curves:
-        good = [p for p in primes if is_good_prime(e, p)]
+        good = [p for p in primes if _is_good(e, p)]
         skipped = tuple(p for p in primes if p not in good)
         missing = list(dict.fromkeys(p for p in good if p not in rows))
         if missing:
-            rows.update((row.p, row) for row in fingerprint(theta, missing, cap=cap))
+            rows.update((row.p, row) for row in _fingerprint(theta, missing, cap))
         entries = []
         for p in good:
             row = rows[p]
-            n, _ = count_points(e, p)
-            entries.append(MatchEntry(row, n, abs(row.det_iml) == n))
-        yield MatchReport(e, tuple(entries), skipped)
+            n, _ = _count(e, p)
+            entries.append((row, n, abs(row.det_iml) == n))
+        yield e, tuple(entries), skipped
 
 
 def match_curve(
@@ -214,6 +227,6 @@ def match_curve(
     e: Curve,
     primes: Sequence[int],
     cap: int = DEFAULT_CAP,
-) -> MatchReport:
+) -> tuple[Curve, tuple[tuple[Fingerprint, int, bool], ...], tuple[int, ...]]:
     """match_curves for a single curve."""
     return next(match_curves(theta, [e], primes, cap=cap))

@@ -4,19 +4,15 @@ determinantal divisors of I - L."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from typing import Sequence
 
 
-@dataclass(frozen=True)
-class IMat2:
+class IMat2(namedtuple("IMat2", "a b c d")):
     """Row-major [[a, b], [c, d]] over arbitrary-precision integers."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
     @staticmethod
     def identity() -> IMat2:
@@ -29,21 +25,20 @@ class IMat2:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "d1 d2")):
     """Finitely generated abelian group on two generators, as invariant
     factors d1 | d2; a zero factor is an infinite cyclic summand."""
 
-    d1: int
-    d2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d1 < 0 or self.d2 < 0:
+    def __new__(cls, d1: int, d2: int):
+        if d1 < 0 or d2 < 0:
             raise ValueError("invariant factors must be nonnegative")
-        if self.d1 == 0 and self.d2 != 0:
+        if d1 == 0 and d2 != 0:
             raise ValueError("zero factors come last")
-        if self.d1 != 0 and self.d2 != 0 and self.d2 % self.d1 != 0:
-            raise ValueError(f"d1={self.d1} must divide d2={self.d2}")
+        if d1 != 0 and d2 != 0 and d2 % d1 != 0:
+            raise ValueError(f"d1={d1} must divide d2={d2}")
+        return super().__new__(cls, d1, d2)
 
     def __str__(self):
         names = []

@@ -11,10 +11,10 @@ fields.  No floating point is used anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .intmat import _period_product, matrix_A
+from .value import Value
 
 
 def _is_square(n: int) -> bool:
@@ -27,26 +27,24 @@ def _floor(P: int, s: int, Q: int) -> int:
     return (P + s) // Q if Q > 0 else (-P - s - 1) // (-Q)
 
 
-@dataclass(frozen=True)
-class QuadraticIrrational:
+class QuadraticIrrational(Value):
     """(P + sqrt(D)) / Q as its primitive triple: Q | D - P^2 and
     gcd(P, (D - P^2)/Q, Q) = 1.  Build any other triple via canonicalize()."""
 
-    P: int
-    D: int
-    Q: int
+    __slots__ = ("P", "D", "Q")
 
-    def __post_init__(self):
-        if self.D <= 0 or _is_square(self.D):
-            raise ValueError(f"D must be positive and not a perfect square, got {self.D}")
-        if self.Q == 0:
+    def __init__(self, P: int, D: int, Q: int):
+        if D <= 0 or _is_square(D):
+            raise ValueError(f"D must be positive and not a perfect square, got {D}")
+        if Q == 0:
             raise ValueError("Q must be nonzero")
-        if (self.D - self.P * self.P) % self.Q != 0:
-            raise ValueError(
-                f"({self.P},{self.D},{self.Q}) violates Q | D - P^2; use canonicalize()"
-            )
-        if gcd(self.P, (self.D - self.P * self.P) // self.Q, self.Q) != 1:
-            raise ValueError(f"({self.P},{self.D},{self.Q}) is not primitive; use canonicalize()")
+        if (D - P * P) % Q != 0:
+            raise ValueError(f"({P},{D},{Q}) violates Q | D - P^2; use canonicalize()")
+        if gcd(P, (D - P * P) // Q, Q) != 1:
+            raise ValueError(f"({P},{D},{Q}) is not primitive; use canonicalize()")
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "Q", Q)
 
     def floor(self) -> int:
         return _floor(self.P, isqrt(self.D), self.Q)
@@ -55,26 +53,25 @@ class QuadraticIrrational:
         return f"({self.P}+sqrt({self.D}))/{self.Q}"
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(Value):
     """Eventually periodic expansion: preperiod then period repeated forever."""
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ("preperiod", "period")
 
-    def __post_init__(self):
-        object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        object.__setattr__(self, "period", tuple(self.period))
-        if not self.period:
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        preperiod, period = tuple(preperiod), tuple(period)
+        if not period:
             raise ValueError("period must be nonempty")
-        if min(self.period) < 1:
+        if min(period) < 1:
             raise ValueError("period entries must be >= 1")
-        if min(self.preperiod[1:], default=1) < 1:
+        if min(preperiod[1:], default=1) < 1:
             raise ValueError("preperiod entries after the first must be >= 1")
-        n = len(self.period)
+        n = len(period)
         for d in range(1, n):
-            if n % d == 0 and self.period == self.period[:d] * (n // d):
-                raise ValueError(f"period {self.period} is a repetition of length {d}")
+            if n % d == 0 and period == period[:d] * (n // d):
+                raise ValueError(f"period {period} is a repetition of length {d}")
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
 
 
 def canonicalize(P: int, D: int, Q: int) -> QuadraticIrrational:

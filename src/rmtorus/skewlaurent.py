@@ -13,16 +13,19 @@ tests/reference.py, as the oracle of skew_mul and skew_star.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .value import Value
 
-@dataclass(frozen=True)
-class UPoly:
+
+class UPoly(Value):
     """Polynomial in u over Q; coeffs[k] multiplies u^k, no trailing zeros."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def make(coeffs: Iterable[Fraction]) -> UPoly:
@@ -101,16 +104,16 @@ UP_ONE = UPoly.const(1)
 UP_U = UPoly((Fraction(0), Fraction(1)))
 
 
-@dataclass(frozen=True)
-class AffineAut:
+class AffineAut(Value):
     """The ring automorphism of Q[u] sending u to p*u + q, p nonzero."""
 
-    p: Fraction
-    q: Fraction
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if not self.p:
+    def __init__(self, p: Fraction, q: Fraction):
+        if not p:
             raise ValueError("p must be nonzero")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     def apply(self, poly: UPoly) -> UPoly:
         return poly.subst_affine(self.p, self.q)

@@ -18,28 +18,28 @@ unit's matrix reduced mod p, O(pi(p)) word-size steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .intmat import IMat2, _period_product, mat_mul, matrix_A
 from .quadratic import QuadraticIrrational, _expand_cycle, _mobius
+from .value import Value
 
 DEFAULT_CAP = 10**6  # steps of the unit power search, the CLI's --cap
 
 
 class SearchLimitExceeded(RuntimeError):
-    """The unit power search hit its iteration cap."""
+    """A search or a count would pass its work bound: the unit power search
+    its iteration cap, or a point count its largest p."""
 
 
-@dataclass(frozen=True)
-class SubOrder:
+class SubOrder(Value):
     """The pseudo-lattice Z + (conductor * theta) Z; conductor 1 is the lattice itself."""
 
-    theta: QuadraticIrrational
-    conductor: int = 1
+    __slots__ = ("theta", "conductor")
 
-    def __post_init__(self):
-        if self.conductor < 1:
+    def __init__(self, theta: QuadraticIrrational, conductor: int = 1):
+        if conductor < 1:
             raise ValueError("conductor must be >= 1")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "conductor", conductor)
 
 
 def fundamental_unit(order: SubOrder) -> IMat2:

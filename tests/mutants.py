@@ -54,7 +54,7 @@ MUTANTS = [
     (
         "constructor-accepts-non-primitive",
         "src/rmtorus/quadratic.py",
-        "if gcd(self.P, (self.D - self.P * self.P) // self.Q, self.Q) != 1:",
+        "if gcd(P, (D - P * P) // Q, Q) != 1:",
         "if False:",
         ["tests/test_quadratic.py"],
     ),
@@ -145,8 +145,8 @@ MUTANTS = [
     (
         "match-curves-without-cap-check",
         "src/rmtorus/ecpoints.py",
-        '    if cap < 1:\n        raise ValueError("cap must be >= 1")\n    rows: dict',
-        "    rows: dict",
+        '    if cap < 1:\n        raise ValueError("cap must be >= 1")\n    for p in dict.fromkeys(primes):',
+        "    for p in dict.fromkeys(primes):",
         ["tests/test_cli.py"],
     ),
     (
@@ -155,6 +155,55 @@ MUTANTS = [
         "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
         "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",
         ["tests/test_ecpoints.py"],
+    ),
+    (
+        "nonzero-squares-counted-once",
+        "src/rmtorus/ecpoints.py",
+        "sq[y * y % p] = 2",
+        "sq[y * y % p] = 1",
+        ["tests/test_ecpoints.py"],
+    ),
+    (
+        "square-table-stops-one-short",
+        "src/rmtorus/ecpoints.py",
+        "for y in range(1, (p + 1) // 2):",
+        "for y in range(1, (p - 1) // 2):",
+        ["tests/test_ecpoints.py"],
+    ),
+    (
+        "zero-counted-as-two-roots",
+        "src/rmtorus/ecpoints.py",
+        "sq[0] = 1",
+        "sq[0] = 2",
+        ["tests/test_ecpoints.py"],
+    ),
+    (
+        "count-bound-off-by-one",
+        "src/rmtorus/ecpoints.py",
+        "if p > COUNT_P_MAX:",
+        "if p >= COUNT_P_MAX:",
+        ["tests/test_ecpoints.py"],
+    ),
+    (
+        "match-tests-primes-per-curve",
+        "src/rmtorus/ecpoints.py",
+        "good = [p for p in primes if _is_good(e, p)]",
+        "good = [p for p in primes if is_good_prime(e, p)]",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "values-of-any-type-compare",
+        "src/rmtorus/value.py",
+        "if type(other) is not type(self):",
+        "if not isinstance(other, Value):",
+        ["tests/test_value.py"],
+    ),
+    (
+        "group-skips-divisibility-check",
+        "src/rmtorus/intmat.py",
+        "if d1 != 0 and d2 != 0 and d2 % d1 != 0:",
+        "if False:",
+        ["tests/test_intmat.py"],
     ),
     (
         "fingerprint-without-cap-check",

@@ -2,12 +2,12 @@
 inputs the tests share; none of them is part of the package.
 
 Every public function here is either an oracle or an input generator (its
-name starts with `random_`); fixed inputs are constants (SWEEP_SURDS).  An
-oracle's docstring starts with `Checks <module>.<name>`, naming the function
-of `rmtorus` it checks, and says why it is independent of it.  The rule: an
-oracle never calls the code it checks, directly or through a helper in this
-file.  It may call other parts of the package; tests/test_reference.py
-enforces the rule.
+name starts with `random_`); fixed inputs are constants (SWEEP_SURDS,
+SWEEP_CURVES).  An oracle's docstring starts with `Checks <module>.<name>`,
+naming the function of `rmtorus` it checks, and says why it is independent
+of it.  The rule: an oracle never calls the code it checks, directly or
+through a helper in this file.  It may call other parts of the package;
+tests/test_reference.py enforces the rule.
 """
 
 from dataclasses import dataclass
@@ -48,6 +48,27 @@ def count_points_naive(e: Curve, p: int) -> int:
             if y * y % p == rhs:
                 count += 1
     return count
+
+
+def count_points_euler(e: Curve, p: int) -> int:
+    """Checks ecpoints.count_points: |E(F_p)| as p + 1 plus the quadratic
+    character of x^3 + a*x + b summed over x, each character by Euler's
+    criterion v^((p-1)/2) mod p, so with no table of squares.  O(p log p)."""
+    if not is_good_prime(e, p):
+        raise ValueError(f"p={p} is not a good prime for {e}")
+    a, b = e.a % p, e.b % p
+    half = (p - 1) // 2
+    s = 0
+    for x in range(p):
+        v = ((x * x % p) * x + a * x + b) % p
+        if v == 0:
+            continue
+        s += 1 if pow(v, half, p) == 1 else -1
+    return p + 1 + s
+
+
+# the curves (a, b) of rmbench's match-sweep: two fixed, two drawn by seed 1
+SWEEP_CURVES = [(0, 1), (-1, 0), (-16, -4), (-13, 11)]
 
 
 # --- cokernels ---------------------------------------------------------------

@@ -175,6 +175,13 @@ class TestCount:
         code, _, err = run_cli("count", "--curve", "0,1", "--p", "3")
         assert code == 2
 
+    def test_past_the_bound_exceeds_the_budget_at_once(self):
+        start = time.perf_counter()
+        code, out, err = run_cli("count", "--curve", "0,1", "--p", "1000000007")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert f"above {ecpoints.COUNT_P_MAX}" in err
+
 
 class TestMatch:
     def test_single_curve_lines(self):
@@ -266,6 +273,21 @@ class TestMatch:
         assert sorted(calls) == [5, 7, 11, 13, 31, 37]
         assert all(c == 0 for c, _, _ in singles)
         assert out == "".join(o for _, o, _ in singles)
+
+    def test_one_primality_test_per_prime(self, tmp_path, monkeypatch):
+        # each distinct prime of the request is tested once, whatever the
+        # number of curves and whether the prime is good for them
+        calls = []
+        real = ecpoints.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(ecpoints, "is_prime", counting)
+        code, _, _ = self._match_cli(tmp_path, ["1,1", "2,3", "0,1"], "2,3,5,7,11,13,31,37,5")
+        assert code == 0
+        assert sorted(calls) == [2, 3, 5, 7, 11, 13, 31, 37]
 
     def test_cap_exhaustion_after_earlier_curves(self, tmp_path):
         # pi(5) = 3 but pi(31) = 30: only the second curve needs p = 31 (the

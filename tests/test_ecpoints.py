@@ -1,9 +1,22 @@
+import bisect
+import math
 import random
+import time
+import tracemalloc
 
 import pytest
 
-from reference import SWEEP_SURDS, count_points_naive, primes_below, snf_cokernel, trace_norm
+from reference import (
+    SWEEP_CURVES,
+    SWEEP_SURDS,
+    count_points_euler,
+    count_points_naive,
+    primes_below,
+    snf_cokernel,
+    trace_norm,
+)
 from rmtorus.ecpoints import (
+    COUNT_P_MAX,
     Curve,
     count_points,
     fingerprint,
@@ -12,6 +25,7 @@ from rmtorus.ecpoints import (
     match_curve,
 )
 from rmtorus import ecpoints, units
+from rmtorus.units import SearchLimitExceeded
 from rmtorus.intmat import AbelianGroup, IMat2, build_Lp, cokernel_group, mat_det, mat_sub
 from rmtorus.quadratic import canonicalize
 
@@ -96,6 +110,73 @@ class TestCounts:
         with pytest.raises(ValueError):
             count_points_naive(Curve(-1, 0), 2)
 
+    def test_matches_euler_oracle_on_the_sweep(self):
+        # every good prime below 3000 for each curve of the match-sweep
+        # benchmark: all F_p that `match` counts there
+        primes = primes_below(3000)
+        for a, b in SWEEP_CURVES:
+            curve = Curve(a, b)
+            for p in primes:
+                if is_good_prime(curve, p):
+                    assert count_points(curve, p)[0] == count_points_euler(curve, p), (a, b, p)
+
+    def test_matches_euler_oracle_at_random(self):
+        # 100 seeded (curve, p), p log-uniform up to the top of the
+        # count-large-p range, so that every scale is drawn alike
+        rng = random.Random(23)
+        primes = primes_below(120_000)
+        done = 0
+        while done < 100:
+            curve = Curve(rng.randint(-(10**6), 10**6), rng.randint(-(10**6), 10**6))
+            p = primes[bisect.bisect(primes, int(math.exp(rng.uniform(1.6, math.log(120_000))))) - 1]
+            if is_good_prime(curve, p):
+                assert count_points(curve, p)[0] == count_points_euler(curve, p), (curve, p)
+                done += 1
+
+    @pytest.mark.parametrize(
+        "a, b, p", [(0, 1, 999_983), (-1, 0, 1_000_003), (2, 3, 1_000_033)], ids=str
+    )
+    def test_twist_counts_sum_to_2p_plus_2(self, a, b, p):
+        # the quadratic twist by a non-residue d, y^2 = x^3 + a*d^2*x + b*d^3,
+        # has a_p of the opposite sign: #E + #E' = 2p + 2
+        d = next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) == p - 1)
+        n, ap = count_points(Curve(a, b), p)
+        twist, ap_twist = count_points(Curve(a * d * d, b * d**3), p)
+        assert n + twist == 2 * p + 2 and ap_twist == -ap
+
+    def test_table_is_the_only_p_sized_allocation(self):
+        # the sum runs over a generator: no list of p values is built
+        p = 100_003
+        tracemalloc.start()
+        try:
+            count_points(Curve(2, 3), p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * p
+
+
+class TestCountBound:
+    def test_bound(self):
+        assert COUNT_P_MAX == 10**7
+
+    def test_above_the_bound_raises_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(SearchLimitExceeded, match=f"above {COUNT_P_MAX}"):
+            count_points(Curve(0, 1), 1_000_000_007)
+        assert time.perf_counter() - start < 1
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        # the bound moved to a prime, so that p = bound can be counted
+        monkeypatch.setattr(ecpoints, "COUNT_P_MAX", 10_007)
+        assert count_points(Curve(0, 1), 10_007)[0] == count_points_euler(Curve(0, 1), 10_007)
+        with pytest.raises(SearchLimitExceeded, match="above 10007"):
+            count_points(Curve(0, 1), 10_009)
+
+    def test_composite_above_the_bound_is_bad_input(self):
+        with pytest.raises(ValueError, match="is not prime"):
+            count_points(Curve(0, 1), 10**9)
+
 
 class TestFingerprint:
     def test_sqrt2_rows(self):
@@ -178,29 +259,28 @@ class TestFingerprint:
 
 class TestMatch:
     def test_empty_prime_list(self):
-        report = match_curve(SQRT2M1, Curve(0, 1), [])
-        assert report.entries == () and report.skipped == ()
+        curve, entries, skipped = match_curve(SQRT2M1, Curve(0, 1), [])
+        assert curve == Curve(0, 1) and entries == () and skipped == ()
 
     def test_skips_bad_primes(self):
-        report = match_curve(SQRT2M1, Curve(0, 1), [2, 3, 5])
-        assert report.skipped == (2, 3)
-        assert [e.data.p for e in report.entries] == [5]
+        _, entries, skipped = match_curve(SQRT2M1, Curve(0, 1), [2, 3, 5])
+        assert skipped == (2, 3)
+        assert [row.p for row, _, _ in entries] == [5]
 
     def test_sqrt2_p5_comparison_recorded(self):
         # pi(5) = 3, T = tr(A^3) = 14, det(I-L_5) = 1+5-14 = -8; the curve
         # has 6 points, so this row records a mismatch (nothing is asserted
         # about agreement in general)
-        report = match_curve(SQRT2M1, Curve(0, 1), [5])
-        entry = report.entries[0]
-        assert entry.data.det_iml == -8
-        assert entry.ec_count == 6
-        assert entry.match is False
-        assert report.mismatching() == [5]
+        _, entries, _ = match_curve(SQRT2M1, Curve(0, 1), [5])
+        ((row, n, match),) = entries
+        assert row.det_iml == -8
+        assert n == 6
+        assert match is False
 
     def test_match_flag_definition(self):
-        report = match_curve(SQRT2M1, Curve(0, 1), primes_below(31))
-        for entry in report.entries:
-            assert entry.match == (abs(entry.data.det_iml) == entry.ec_count)
+        _, entries, _ = match_curve(SQRT2M1, Curve(0, 1), primes_below(31))
+        for row, n, match in entries:
+            assert match == (abs(row.det_iml) == n)
 
 
 class TestPrimality:

@@ -177,9 +177,9 @@ class TestExpand:
         # and so no constructor check, per term of a 3702-term period
         theta = canonicalize(-3162, 10000054, 1)
         built = []
-        check = QuadraticIrrational.__post_init__
+        check = QuadraticIrrational.__init__
         monkeypatch.setattr(
-            QuadraticIrrational, "__post_init__", lambda self: built.append(self) or check(self)
+            QuadraticIrrational, "__init__", lambda self, *args: built.append(args) or check(self, *args)
         )
         cf = cf_expand(theta)
         assert len(cf.period) == 3702

@@ -40,6 +40,11 @@ ALLOWED = {
     "quadratic.QuadraticIrrational.__str__": "value dunder: printing",
     "intmat.IMat2.__str__": "value dunder: printing",
     "intmat.AbelianGroup.__str__": "value dunder: printing",
+    "value.Value.__repr__": "value dunder: printing",
+    "value.Value.__hash__": "value dunder: consistent with __eq__",
+    "value.Value.__setattr__": "value dunder: values are immutable",
+    "value.Value.__delattr__": "value dunder: values are immutable",
+    "value.Value.__reduce__": "value dunder: copy and pickle go through the checks",
 }
 
 
