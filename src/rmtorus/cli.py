@@ -65,9 +65,10 @@ def _parse_primes(token: str) -> list[int]:
 def _parse_gauss(token: str) -> tuple[Fraction, Fraction]:
     """(re, im) of the token re,im; each part an integer, a/b or a plain
     decimal.  An exponent is refused, since Fraction would compute 10**exponent
-    and a large one would not finish."""
+    and a large one would not finish, and so is a digit-group underscore,
+    which Fraction takes only from CPython 3.11 on."""
     parts = token.split(",")
-    if len(parts) == 2 and "e" not in token.lower():
+    if len(parts) == 2 and "e" not in token.lower() and "_" not in token:
         try:
             return Fraction(parts[0]), Fraction(parts[1])
         except (ValueError, ZeroDivisionError):

@@ -14,9 +14,9 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterator, Sequence
 
-from .intmat import AbelianGroup, IMat2, build_Lp, cokernel_group, mat_pow, mat_trace
+from .intmat import AbelianGroup, IMat2, build_Lp, cokernel_group, mat_trace_pow
 from .quadratic import QuadraticIrrational
-from .units import DEFAULT_CAP, SearchLimitExceeded, SubOrder, fundamental_unit, pi_index
+from .units import DEFAULT_CAP, SearchLimitExceeded, SubOrder, fundamental_unit, is_prime, pi_index
 from .value import Value
 
 BACKEND = "python"  # name of the point-count kernel, for reports
@@ -44,55 +44,6 @@ class Curve(Value):
         return f"y^2 = x^3 + {self.a}*x + {self.b}"
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
-# (psi_k, k): the least strong pseudoprime to the first k prime bases is
-# psi_k, so below it those k bases decide primality exactly (Sorenson and
-# Webster 2015); k = 8, 10 and 11 are missing because psi_8 = psi_7 and
-# psi_10 = psi_11 = psi_9
-_MR_PSI = (
-    (2047, 1),
-    (1373653, 2),
-    (25326001, 3),
-    (3215031751, 4),
-    (2152302898747, 5),
-    (3474749660383, 6),
-    (341550071728321, 7),
-    (3825123056546413051, 9),
-    (318665857834031151167461, 12),
-    (_MR_LIMIT, 13),
-)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with as many of the first 13 prime bases as
-    the size of n needs.  Exact for n < 3317044064679887385961981; raises
-    ValueError at or above that bound."""
-    if n >= _MR_LIMIT:
-        raise ValueError(f"{n} is too large: primality is decided only below {_MR_LIMIT}")
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    if n < 41 * 41:  # a composite this small has a prime factor up to 41
-        return n > 1
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    k = next(k for psi, k in _MR_PSI if n < psi)
-    for a in _MR_BASES[:k]:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -113,19 +64,24 @@ def count_points(e: Curve, p: int) -> tuple[int, int]:
     """(|E(F_p)|, a_p) for a good prime p <= COUNT_P_MAX; a_p = p + 1 - count."""
     if not is_good_prime(e, p):
         raise ValueError(f"p={p} is not a good prime for {e}")
+    _require_countable(p)
     return _count(e, p)
 
 
-def _count(e: Curve, p: int) -> tuple[int, int]:
-    """count_points for a p already known to be a good prime.
-
-    sq[v] is the number of y in F_p with y^2 = v: 1 at 0, 2 at each of the
-    (p - 1)/2 nonzero squares, 0 elsewhere.  The count is then the point at
-    infinity plus the sum of sq over the values of the cubic."""
+def _require_countable(p: int) -> None:
     if p > COUNT_P_MAX:
         raise SearchLimitExceeded(
             f"p={p} is above {COUNT_P_MAX}, the largest p whose points are counted"
         )
+
+
+def _count(e: Curve, p: int) -> tuple[int, int]:
+    """count_points for a p already known to be a good prime, at most
+    COUNT_P_MAX.
+
+    sq[v] is the number of y in F_p with y^2 = v: 1 at 0, 2 at each of the
+    (p - 1)/2 nonzero squares, 0 elsewhere.  The count is then the point at
+    infinity plus the sum of sq over the values of the cubic."""
     a, b = e.a % p, e.b % p
     sq = bytearray(p)
     sq[0] = 1
@@ -168,7 +124,8 @@ def fingerprint(
     cokernel group.
 
     Both pi(p) and T come from the one unit matrix M: A and M share the
-    eigenvalues eps and its conjugate, so tr(A^k) = tr(M^k).  The cap and
+    eigenvalues eps and its conjugate, so tr(A^k) = tr(M^k), which
+    mat_trace_pow takes by Lucas doubling.  The cap and
     the primes are checked before the unit is computed."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -183,7 +140,7 @@ def _fingerprint(theta: QuadraticIrrational, primes: Sequence[int], cap: int) ->
     rows = []
     for p in primes:
         k = pi_index(unit, p, cap=cap)
-        rows.append(Fingerprint(p, k, mat_trace(mat_pow(unit, k))))
+        rows.append(Fingerprint(p, k, mat_trace_pow(unit, k)))
     return rows
 
 
@@ -199,9 +156,10 @@ def match_curves(
     curve.  A report records agreement where it happens; it asserts nothing
     about whether matches must exist.
 
-    Each distinct prime is tested for primality once, before any work.  The
-    fingerprint of each prime is computed once and shared by every curve for
-    which it is good.  Laziness keeps the order of effects: a curve's report
+    Each distinct prime is tested for primality once, before any work, and
+    each curve's good primes are held to COUNT_P_MAX before its fingerprints.
+    The fingerprint of each prime is computed once and shared by every curve
+    for which it is good.  Laziness keeps the order of effects: a curve's report
     is yielded before any prime only a later curve needs is searched."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -210,6 +168,8 @@ def match_curves(
     rows: dict[int, Fingerprint] = {}
     for e in curves:
         good = [p for p in primes if _is_good(e, p)]
+        for p in good:
+            _require_countable(p)
         skipped = tuple(p for p in primes if p not in good)
         missing = list(dict.fromkeys(p for p in good if p not in rows))
         if missing:

@@ -1,6 +1,6 @@
 """Exact 2x2 integer matrix algebra: period-matrix products by binary
-splitting, and the cokernel groups Z^2/(I - L)Z^2 read from the
-determinantal divisors of I - L."""
+splitting, traces of powers by Lucas doubling, and the cokernel groups
+Z^2/(I - L)Z^2 read from the determinantal divisors of I - L."""
 
 from __future__ import annotations
 
@@ -74,6 +74,22 @@ def mat_pow(m: IMat2, k: int) -> IMat2:
 
 def mat_trace(m: IMat2) -> int:
     return m.a + m.d
+
+
+def mat_trace_pow(m: IMat2, k: int) -> int:
+    """tr(m^k) for k >= 0, by Lucas doubling on V_j = tr(m^j): with t = tr m
+    and d = det m, V_2j = V_j^2 - 2*d^j and V_2j+1 = V_j*V_j+1 - t*d^j, so a
+    bit of k costs two products of V's, where mat_pow squares a matrix."""
+    if k < 0:
+        raise ValueError("negative matrix powers are not supported")
+    t, d = mat_trace(m), mat_det(m)
+    v, w, s = 2, t, 1  # V_j, V_j+1 and d^j, from j = 0
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            v, w, s = v * w - t * s, w * w - 2 * s * d, s * s * d
+        else:
+            v, w, s = v * v - 2 * s, v * w - t * s, s * s
+    return v
 
 
 def mat_det(m: IMat2) -> int:

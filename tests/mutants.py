@@ -94,11 +94,67 @@ MUTANTS = [
         ["tests/test_quadratic.py"],
     ),
     (
-        "pi-index-loop-off-by-one",
+        "pi-index-product-for-lcm",
         "src/rmtorus/units.py",
-        "for k in range(1, cap + 1):",
-        "for k in range(1, cap):",
+        "k = lcm(k, _apparition(t, d, q, e))",
+        "k = k * _apparition(t, d, q, e)",
         ["tests/test_units.py"],
+    ),
+    (
+        "pi-index-ignores-p-dividing-c",
+        "src/rmtorus/units.py",
+        "_factor(p // gcd(p, unit.c))",
+        "_factor(p)",
+        ["tests/test_units.py"],
+    ),
+    (
+        "apparition-at-p-dividing-delta-off",
+        "src/rmtorus/units.py",
+        "        r = q\n    else:",
+        "        r = q + 1\n    else:",
+        ["tests/test_units.py"],
+    ),
+    (
+        "apparition-at-two-swapped",
+        "src/rmtorus/units.py",
+        "r = 2 if t % 2 == 0 else 3",
+        "r = 3 if t % 2 == 0 else 2",
+        ["tests/test_units.py"],
+    ),
+    (
+        "apparition-strips-each-factor-once",
+        "src/rmtorus/units.py",
+        "while r % l == 0 and _lucas_u(",
+        "if r % l == 0 and _lucas_u(",
+        ["tests/test_units.py"],
+    ),
+    (
+        "apparition-skips-prime-power-lift",
+        "src/rmtorus/units.py",
+        "qe = q**e",
+        "qe = q",
+        ["tests/test_units.py"],
+    ),
+    (
+        "trace-pow-odd-step-sign",
+        "src/rmtorus/intmat.py",
+        "v, w, s = v * w - t * s, w * w",
+        "v, w, s = v * w + t * s, w * w",
+        ["tests/test_units.py"],
+    ),
+    (
+        "match-counts-before-bound-check",
+        "src/rmtorus/ecpoints.py",
+        "        for p in good:\n            _require_countable(p)\n",
+        "",
+        ["tests/test_cli.py::TestMatch"],
+    ),
+    (
+        "gauss-accepts-underscores",
+        "src/rmtorus/cli.py",
+        ' and "_" not in token:',
+        ":",
+        ["tests/test_cli.py::TestStarCheck"],
     ),
     (
         "singular-cokernel-read-as-finite",
@@ -151,7 +207,7 @@ MUTANTS = [
     ),
     (
         "is-prime-drops-a-base",
-        "src/rmtorus/ecpoints.py",
+        "src/rmtorus/units.py",
         "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
         "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",
         ["tests/test_ecpoints.py"],

@@ -26,7 +26,7 @@ from rmtorus.skewlaurent import UP_ZERO, AffineAut, SkewPoly, UPoly
 
 
 def primes_below(n: int) -> list[int]:
-    """Checks ecpoints.is_prime: the sieve of Eratosthenes, which crosses off
+    """Checks units.is_prime: the sieve of Eratosthenes, which crosses off
     multiples and never tests a single number."""
     sieve = bytearray([1]) * n
     for i in range(2, isqrt(n) + 1):
@@ -310,6 +310,19 @@ def exact_pi_index(eps: Elt, p: int, cap: int = 10**6) -> int:
             return k
         acc = elt_mul(acc, eps)
     raise AssertionError(f"no power within {cap} steps for p={p}")
+
+
+def pi_index_scan(unit: IMat2, n: int, cap: int = 10**6) -> int:
+    """Checks units.pi_index: steps the first column of M^k, the coordinates
+    of eps^k, mod n and returns the least k with the second one 0, in
+    O(pi(n)) steps; no factoring and no Lucas sequence."""
+    a, b, c, d = unit.a % n, unit.b % n, unit.c % n, unit.d % n
+    x, y = a, c
+    for k in range(1, cap + 1):
+        if y == 0:
+            return k
+        x, y = (a * x + b * y) % n, (c * x + d * y) % n
+    raise AssertionError(f"no power within {cap} steps for n={n}")
 
 
 def brute_force_unit(theta: QuadraticIrrational, conductor: int = 1, vmax: int = 100000):

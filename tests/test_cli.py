@@ -301,6 +301,35 @@ class TestMatch:
         assert code == 3 and "p=31" in err
         assert out == first[1] and out.count("\n") == 2
 
+    def test_count_bound_before_the_fingerprint(self, monkeypatch):
+        # pi(10000019) is about 10^7, so its T would have about 12 Mbit; the
+        # count bound ends the request before that is computed
+        argv = ("match", "--curve", "0,1", "--primes", "10000019", "--cap", "30000000", "--", "-1,2,1")
+
+        def no_fingerprint(*args):
+            raise AssertionError("fingerprint computed past the count bound")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ecpoints, "_fingerprint", no_fingerprint)
+            assert run_cli(*argv)[0] == 3
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert f"above {ecpoints.COUNT_P_MAX}" in err
+
+    def test_count_bound_after_earlier_curves(self, tmp_path):
+        # 10000019 divides the discriminant of the first curve, so only the
+        # second needs its count: the first curve's lines come out first
+        curves = ["10000016,2", "0,1"]
+        first = self._match_cli(tmp_path, curves[:1], "5,10000019")
+        start = time.perf_counter()
+        code, out, err = self._match_cli(tmp_path, curves, "5,10000019")
+        assert time.perf_counter() - start < 1
+        assert first[0] == 0 and json.loads(first[1].splitlines()[-1])["skipped"] == [10000019]
+        assert (code, out) == (3, first[1])
+        assert "p=10000019 is above" in err
+
     def test_deterministic_bytes(self):
         args = ("match", "--curve", "0,1", "--primes", "5,7,11,13", "--", "-1,2,1")
         _, out1, _ = run_cli(*args)
@@ -376,6 +405,14 @@ class TestStarCheck:
         assert run_cli("star-check", "--p", "0.5,0", "--q", "1.25,.5") == (
             0, '{"coherent":false}\n', ""
         )
+
+    def test_underscore_is_bad_input(self):
+        # Fraction takes digit-group underscores from CPython 3.11 on; the
+        # CLI refuses them on every interpreter
+        for p, q in [("1_0,0", "0,0"), ("1,0", "0,1_000")]:
+            assert run_cli("star-check", "--p", p, "--q", q) == (
+                2, "", f"error: expected re,im with rational parts, got {p if '_' in p else q!r}\n"
+            )
 
     def test_zero_scale(self):
         assert run_cli("star-check", "--p", "0,0", "--q", "1,0") == (

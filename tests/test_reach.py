@@ -27,6 +27,8 @@ SRC = ROOT / "src" / "rmtorus"
 ALLOWED = {
     "cli.entry": "the console script `rmtorus` of pyproject.toml",
     "ecpoints.match_curve": "rmbench/spans.py traces it by name",
+    "intmat.mat_pow": "rmbench/spans.py traces it by name",
+    "units._pollard_brent": "splits what trial division leaves composite; no golden prime needs it",
     "quadratic.cf_value": "the exact inverse of cf_expand that the README documents",
     "freealg.nc_mul": "the product of the free algebra, which star_image reverses",
     "freealg.NCPoly.terms": "the one public reader of a polynomial's coefficients",

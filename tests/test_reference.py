@@ -75,7 +75,7 @@ def test_what_the_oracles_check():
         if m
     }
     assert checked == {
-        "ecpoints.is_prime",
+        "units.is_prime",
         "ecpoints.count_points",
         "intmat.cokernel_group",
         "intmat.matrix_A",

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -10,12 +11,13 @@ from reference import (
     cycle_surd_unit,
     elt_mul,
     exact_pi_index,
+    pi_index_scan,
     primes_below,
     random_surd,
     trace_norm,
 )
 from rmtorus.ecpoints import fingerprint
-from rmtorus.intmat import IMat2, mat_det, mat_mul, mat_pow, mat_trace, matrix_A
+from rmtorus.intmat import IMat2, mat_det, mat_mul, mat_pow, mat_trace, mat_trace_pow, matrix_A
 from rmtorus.quadratic import canonicalize, cf_expand
 from rmtorus.units import SearchLimitExceeded, SubOrder, fundamental_unit, pi_index
 
@@ -277,6 +279,131 @@ class TestPiIndex:
                 # a cap of 0 is bad input, not an exhausted search
                 with pytest.raises(SearchLimitExceeded if k > 1 else ValueError):
                     pi_index(m, p, cap=k - 1)
+
+
+# the 16 match-sweep surds and 60 seeded random ones, at conductors 1, 2, 3
+# and 6: unit matrices with M.c of every size, both norms, and Delta = tr^2 -
+# 4*det with and without small prime factors
+CLOSED_FORM_UNITS = [
+    unit(theta, f)
+    for theta in [canonicalize(*s) for s in SWEEP_SURDS]
+    + [random_surd(random.Random(1208 + i)) for i in range(60)]
+    for f in (1, 2, 3, 6)
+]
+
+
+def legendre(a, p):
+    """(a/p) for an odd prime p, by Euler's criterion."""
+    v = pow(a, (p - 1) // 2, p)
+    return -1 if v == p - 1 else v
+
+
+def mod_pow(m, k, n):
+    """m^k reduced mod n, by square and multiply on entries reduced mod n."""
+    acc, base = IMat2(1, 0, 0, 1), IMat2(m.a % n, m.b % n, m.c % n, m.d % n)
+    while k:
+        if k & 1:
+            acc = IMat2(*(v % n for v in mat_mul(acc, base)))
+        base = IMat2(*(v % n for v in mat_mul(base, base)))
+        k >>= 1
+    return acc
+
+
+class TestPiClosedForm:
+    """pi_index is the rank of apparition of p / gcd(p, M.c) in the Lucas
+    sequence U(tr M, det M); the scan of tests/reference.py checks it where
+    a scan is cheap, and relations between its values reach past that."""
+
+    @pytest.mark.parametrize("f", [1, 2, 3, 6])
+    def test_matches_the_scan(self, f):
+        # every n in 2..399, composites and prime powers included
+        units = CLOSED_FORM_UNITS[[1, 2, 3, 6].index(f) :: 4]
+        assert len(units) == 76
+        for m in units:
+            for n in range(2, 400):
+                assert pi_index(m, n) == pi_index_scan(m, n), (m, n)
+
+    def test_sweep_meets_every_case(self):
+        # p | M.c, p | Delta, p = 2 with tr M odd and even, and both signs
+        # of (Delta/p) all occur among the primes of the sweep
+        seen = set()
+        for m in CLOSED_FORM_UNITS:
+            delta = mat_trace(m) ** 2 - 4 * mat_det(m)
+            for p in primes_below(400):
+                if m.c % p == 0:
+                    seen.add("p | c")
+                elif p == 2:
+                    seen.add(f"p = 2, tr {'odd' if mat_trace(m) % 2 else 'even'}")
+                elif delta % p == 0:
+                    seen.add("p | Delta")
+                else:
+                    seen.add(f"(Delta/p) = {legendre(delta, p)}")
+        assert seen == {
+            "p | c", "p = 2, tr odd", "p = 2, tr even", "p | Delta", "(Delta/p) = 1", "(Delta/p) = -1"
+        }
+
+    def test_divides_p_minus_legendre(self):
+        # for an odd prime p dividing neither M.c nor Delta, pi(p) divides
+        # p - (Delta/p); the large primes are far past the scan's reach
+        big = [10**9 + 7, 10**12 + 39, 10**18 + 3, 3317044064679887385961981 - 168]
+        for m in CLOSED_FORM_UNITS[::4]:
+            delta = mat_trace(m) ** 2 - 4 * mat_det(m)
+            for p in primes_below(3000)[1:] + big:
+                if m.c % p and delta % p:
+                    n = p - legendre(delta, p)
+                    assert n % pi_index(m, p, cap=n) == 0, (m, p)
+
+    def test_lcm_over_coprime_factors(self):
+        # pi(m*n) = lcm(pi(m), pi(n)) for coprime m and n: the least power of
+        # eps in both sublattices; products of large primes go through
+        # Pollard-Brent
+        rng = random.Random(24)
+        big = [10**9 + 7, 10**9 + 9, 998244353, 10**12 + 39, 2**31 - 1]
+        for i, m in enumerate(CLOSED_FORM_UNITS[::8]):
+            pairs = [(rng.randint(2, 400), rng.randint(2, 400)) for _ in range(30)]
+            if i % 4 == 0:
+                pairs += [(a, b) for a in big for b in big if a < b]
+            for a, b in pairs:
+                if math.gcd(a, b) == 1:
+                    cap = a * b * a * b
+                    whole = pi_index(m, a * b, cap=cap)
+                    assert whole == math.lcm(pi_index(m, a, cap=cap), pi_index(m, b, cap=cap))
+
+    def test_near_the_miller_rabin_limit(self):
+        # p + 1 = 2*q1*q2 with q1 and q2 of 41 and 40 bits: trial division
+        # leaves q1*q2 for Pollard-Brent.  pi(p) is checked from the
+        # factorisation: M^pi has c = 0 mod p, and no M^(pi/l) does
+        q1, q2 = 2147475745049, 587322960011
+        p = 2522523622268012516471077
+        assert p - legendre(8, p) == 2 * q1 * q2 and legendre(8, p) == -1
+        m = unit(SQRT2M1)  # tr 2, det -1, Delta = 8
+        start = time.perf_counter()
+        with pytest.raises(SearchLimitExceeded):
+            pi_index(m, p)
+        k = pi_index(m, p, cap=p + 1)
+        assert time.perf_counter() - start < 2
+        assert (p + 1) % k == 0
+        assert mod_pow(m, k, p).c == 0
+        assert all(mod_pow(m, k // l, p).c for l in (2, q1, q2) if k % l == 0)
+
+    def test_rejects_a_matrix_that_is_not_a_unit(self):
+        with pytest.raises(ValueError, match="det 3 is not"):
+            pi_index(IMat2(2, 1, 1, 2), 5)
+
+
+class TestTracePower:
+    def test_matches_matrix_powers(self):
+        # units of both norms, and matrices of other determinants
+        for m, step in [(unit(SQRT2M1), 1), (unit(GOLDEN), 7), (unit(SQRT3M1), 7), (unit(SQRT2M1, 3), 7)]:
+            for k in range(0, 5001, step):
+                assert mat_trace_pow(m, k) == mat_trace(mat_pow(m, k)), (m, k)
+        for m in [IMat2(3, 5, 7, 2), IMat2(0, 0, 0, 0), IMat2(-4, 1, 9, 6), IMat2(2, 4, 1, 2)]:
+            for k in range(200):
+                assert mat_trace_pow(m, k) == mat_trace(mat_pow(m, k)), (m, k)
+
+    def test_rejects_negative_powers(self):
+        with pytest.raises(ValueError):
+            mat_trace_pow(unit(SQRT2M1), -1)
 
 
 class TestUnitMatrix:
