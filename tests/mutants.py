@@ -222,8 +222,29 @@ MUTANTS = [
     (
         "square-table-stops-one-short",
         "src/rmtorus/ecpoints.py",
-        "for y in range(1, (p + 1) // 2):",
-        "for y in range(1, (p - 1) // 2):",
+        "for y in range(1, (p + 1) // 2):\n        sq[y * y % p] = 2",
+        "for y in range(1, (p - 1) // 2):\n        sq[y * y % p] = 2",
+        ["tests/test_ecpoints.py"],
+    ),
+    (
+        "reflection-constant-is-b",
+        "src/rmtorus/ecpoints.py",
+        "c = 2 * b % p",
+        "c = b % p",
+        ["tests/test_ecpoints.py"],
+    ),
+    (
+        "reflection-drops-x-zero",
+        "src/rmtorus/ecpoints.py",
+        "1 + sq[b] + sum(",
+        "1 + sum(",
+        ["tests/test_ecpoints.py"],
+    ),
+    (
+        "reflected-sum-stops-one-short",
+        "src/rmtorus/ecpoints.py",
+        "for x in range(1, (p + 1) // 2)",
+        "for x in range(1, (p - 1) // 2)",
         ["tests/test_ecpoints.py"],
     ),
     (

@@ -110,6 +110,17 @@ class TestCounts:
         with pytest.raises(ValueError):
             count_points_naive(Curve(-1, 0), 2)
 
+    @pytest.mark.parametrize("p", [p for p in primes_below(44) if p >= 5])
+    def test_every_curve_over_small_fields(self, p):
+        # every non-singular (a, b) in F_p^2: b = 0 (f(0) = 0, and every
+        # reflected read sq[0 - v] is a negative index), a = 0, and p = 1
+        # and 3 mod 4, where -1 is and is not a square
+        for a in range(p):
+            for b in range(p):
+                if (4 * a**3 + 27 * b * b) % p:
+                    curve = Curve(a, b)
+                    assert count_points(curve, p)[0] == count_points_euler(curve, p), (a, b)
+
     def test_matches_euler_oracle_on_the_sweep(self):
         # every good prime below 3000 for each curve of the match-sweep
         # benchmark: all F_p that `match` counts there
@@ -145,7 +156,9 @@ class TestCounts:
         assert n + twist == 2 * p + 2 and ap_twist == -ap
 
     def test_table_is_the_only_p_sized_allocation(self):
-        # the sum runs over a generator: no list of p values is built
+        # the sum runs over a generator: no list of p values is built, and
+        # the reflection x -> -x reads the one table again (sq[c - v]), so
+        # no second p-sized object is built either
         p = 100_003
         tracemalloc.start()
         try:
