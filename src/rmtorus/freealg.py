@@ -14,20 +14,23 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .skewlaurent import UP_ONE, UP_ZERO, UPoly
+from .value import Value
 
 Rat = Union[int, Fraction]
 
 _ALPHABET = frozenset("12")
 
 
-def _deglex(word: str) -> tuple[int, str]:
-    return (len(word), word)
+def _deglex(term: tuple[str, Fraction]) -> tuple[int, str]:
+    return (len(term[0]), term[0])
 
 
-class NCPoly:
-    """Finitely supported map word -> rational coefficient."""
+class NCPoly(Value):
+    """Finitely supported map word -> rational coefficient, held as its
+    nonzero (word, coefficient) pairs in deglex order, so that equal
+    polynomials have equal fields.  Repeated words are added up."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[str, Rat] | Iterable[tuple[str, Rat]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -35,44 +38,19 @@ class NCPoly:
         for word, c in items:
             if set(word) - _ALPHABET:
                 raise ValueError(f"word {word!r} uses letters outside x1, x2")
-            c = Fraction(c)
-            if c:
-                acc[word] = acc.get(word, Fraction(0)) + c
-        self._terms = {w: c for w, c in acc.items() if c}
-
-    def terms(self) -> dict[str, Fraction]:
-        return dict(self._terms)
+            acc[word] = acc.get(word, 0) + Fraction(c)
+        nonzero = [(w, c) for w, c in acc.items() if c]
+        object.__setattr__(self, "terms", tuple(sorted(nonzero, key=_deglex)))
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: NCPoly) -> NCPoly:
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return NCPoly(out)
-
-    def __neg__(self) -> NCPoly:
-        return NCPoly({w: -c for w, c in self._terms.items()})
-
-    def __sub__(self, other: NCPoly) -> NCPoly:
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return not self.terms
 
     def __str__(self):
         if self.is_zero:
             return "0"
         parts = []
-        for w in sorted(self._terms, key=_deglex):
-            c = self._terms[w]
+        for w, c in self.terms:
             mono = _word_str(w)
             if mono == "1":
                 body = str(abs(c))
@@ -102,16 +80,6 @@ def _word_str(w: str) -> str:
     return "*".join(parts)
 
 
-def nc_mul(f: NCPoly, g: NCPoly) -> NCPoly:
-    """Word concatenation, extended bilinearly."""
-    out: dict[str, Fraction] = {}
-    for wf, cf in f._terms.items():
-        for wg, cg in g._terms.items():
-            w = wf + wg
-            out[w] = out.get(w, Fraction(0)) + cf * cg
-    return NCPoly(out)
-
-
 def _image(word: str) -> UPoly:
     """The u-part of the image of word under x1 -> t, x2 -> u*t in
     Q[u][t; u -> u + 1]: moving u right past t^k gives t^k*u = (u + k)*t^k,
@@ -133,7 +101,7 @@ def normal_form(f: NCPoly) -> NCPoly:
     the degree-n part of f is read back from its image by peeling off the
     leading u-term against these products."""
     images: dict[int, UPoly] = {}
-    for w, c in f._terms.items():
+    for w, c in f.terms:
         images[len(w)] = images.get(len(w), UP_ZERO) + _image(w).scale(c)
     out: dict[str, Fraction] = {}
     for n, poly in images.items():
@@ -153,7 +121,7 @@ def star_image(f: NCPoly) -> NCPoly:
     """Anti-automorphism determined by x1* = x2 and x2* = x1: reverse each
     word and swap the letters."""
     swap = {"1": "2", "2": "1"}
-    return NCPoly({"".join(swap[ch] for ch in reversed(w)): c for w, c in f._terms.items()})
+    return NCPoly(("".join(swap[ch] for ch in reversed(w)), c) for w, c in f.terms)
 
 
 def star_defect(rel: NCPoly) -> NCPoly:

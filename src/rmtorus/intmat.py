@@ -21,9 +21,6 @@ class IMat2(namedtuple("IMat2", "a b c d")):
     def rows(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
 
-    def __str__(self):
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
-
 
 class AbelianGroup(namedtuple("AbelianGroup", "d1 d2")):
     """Finitely generated abelian group on two generators, as invariant
@@ -39,15 +36,6 @@ class AbelianGroup(namedtuple("AbelianGroup", "d1 d2")):
         if d1 != 0 and d2 != 0 and d2 % d1 != 0:
             raise ValueError(f"d1={d1} must divide d2={d2}")
         return super().__new__(cls, d1, d2)
-
-    def __str__(self):
-        names = []
-        for d in (self.d1, self.d2):
-            if d == 0:
-                names.append("Z")
-            elif d > 1:
-                names.append(f"Z/{d}")
-        return " x ".join(names) if names else "0"
 
 
 def mat_mul(x: IMat2, y: IMat2) -> IMat2:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .intmat import _period_product, matrix_A
 from .value import Value
 
 
@@ -48,9 +47,6 @@ class QuadraticIrrational(Value):
 
     def floor(self) -> int:
         return _floor(self.P, isqrt(self.D), self.Q)
-
-    def __str__(self):
-        return f"({self.P}+sqrt({self.D}))/{self.Q}"
 
 
 class ContinuedFraction(Value):
@@ -160,18 +156,4 @@ def _expand_cycle(theta: QuadraticIrrational) -> tuple[tuple[int, ...], tuple[in
 def cf_expand(theta: QuadraticIrrational) -> ContinuedFraction:
     """Minimal-period continued fraction of theta, found by exact cycle detection."""
     return ContinuedFraction(*_expand_cycle(theta))
-
-
-def cf_value(cf: ContinuedFraction) -> QuadraticIrrational:
-    """Exact value of an eventually periodic continued fraction.
-
-    The periodic tail y > 1 solves the fixed-point equation of the period's
-    matrix product; the preperiod's matrix product then maps it to the value.
-    """
-    m = matrix_A(cf.period)
-    # c*y^2 + (d - a)*y - b = 0 for m = [[a, b], [c, d]],  root with y > 1
-    B = m.a - m.d
-    disc = B * B + 4 * m.b * m.c
-    tail = _from_parts(B, 1, disc, 2 * m.c)
-    return _mobius(tail, *_period_product(cf.preperiod, 0, len(cf.preperiod)))
 

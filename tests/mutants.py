@@ -87,11 +87,11 @@ MUTANTS = [
         ["tests/test_units.py"],
     ),
     (
-        "cf-value-preperiod-reversed",
+        "mobius-det-sign-flipped",
         "src/rmtorus/quadratic.py",
-        "_period_product(cf.preperiod, 0, len(cf.preperiod))",
-        "_period_product(cf.preperiod[::-1], 0, len(cf.preperiod))",
-        ["tests/test_quadratic.py"],
+        "return _from_parts(A * C - a * c * D, Q * det, D, den)",
+        "return _from_parts(A * C - a * c * D, -Q * det, D, den)",
+        ["tests/test_units.py"],
     ),
     (
         "pi-index-product-for-lcm",
@@ -297,6 +297,20 @@ MUTANTS = [
         ["tests/test_freealg.py"],
     ),
     (
+        "ncpoly-keeps-zero-terms",
+        "src/rmtorus/freealg.py",
+        "nonzero = [(w, c) for w, c in acc.items() if c]",
+        "nonzero = list(acc.items())",
+        ["tests/test_freealg.py"],
+    ),
+    (
+        "ncpoly-terms-in-insertion-order",
+        "src/rmtorus/freealg.py",
+        "tuple(sorted(nonzero, key=_deglex))",
+        "tuple(nonzero)",
+        ["tests/test_freealg.py"],
+    ),
+    (
         "horner-walks-coefficients-upward",
         "src/rmtorus/skewlaurent.py",
         "for c in reversed(self.coeffs):",
@@ -366,6 +380,27 @@ MUTANTS = [
         "am * twist.apply(bn)",
         "twist.apply(am) * bn",
         ["tests/test_skew_properties.py::test_matches_convolution_oracle"],
+    ),
+    (
+        "cycle-closes-when-p-recurs",
+        "src/rmtorus/quadratic.py",
+        "if P == P0 and Q == Q0:",
+        "if P == P0:",
+        ["tests/test_properties.py::test_cf_round_trip"],
+    ),
+    (
+        "content-taken-over-the-triple",
+        "src/rmtorus/quadratic.py",
+        "g = gcd(P, (D - P * P) // Q, Q)",
+        "g = gcd(P, D, Q)",
+        ["tests/test_properties.py::test_canonicalize_is_scale_invariant"],
+    ),
+    (
+        "cokernel-gcd-skips-an-entry",
+        "src/rmtorus/intmat.py",
+        "d1 = gcd(m.a, m.b, m.c, m.d)",
+        "d1 = gcd(m.a, m.b, m.c)",
+        ["tests/test_properties.py::test_cokernel_is_invariant_under_unimodular_change_of_basis"],
     ),
 ]
 

@@ -18,7 +18,7 @@ from math import isqrt, lcm, sqrt
 from rmtorus.ecpoints import Curve, is_good_prime
 from rmtorus.freealg import NCPoly
 from rmtorus.intmat import AbelianGroup, IMat2, mat_det, mat_mul, mat_sub
-from rmtorus.quadratic import QuadraticIrrational, canonicalize
+from rmtorus.quadratic import ContinuedFraction, QuadraticIrrational, canonicalize
 from rmtorus.skewlaurent import UP_ZERO, AffineAut, SkewPoly, UPoly
 
 
@@ -244,6 +244,26 @@ def fold_matrix_A(period):
     return result
 
 
+def cf_value(cf: ContinuedFraction) -> QuadraticIrrational:
+    """Checks quadratic.cf_expand as its inverse: the exact value of an
+    eventually periodic continued fraction, with no recurrence on surds.
+    The periodic tail y > 1 is the fixed point of the period's matrix
+    [[a, b], [c, d]], and the preperiod's matrix [[e, f], [g, h]] maps it to
+    (e*y + f)/(g*y + h), rationalized by the conjugate of its denominator;
+    both matrices are folded term by term."""
+    a, b, c, d = fold_matrix_A(cf.period)
+    # c*y^2 + (d - a)*y - b = 0, so y = (a - d + r)/(2c) with r = sqrt(disc)
+    B, disc, q = a - d, (a - d) ** 2 + 4 * b * c, 2 * c
+    e, f, g, h = fold_matrix_A(cf.preperiod)
+    # (e*y + f)/(g*y + h) = (n + e*r)/(m + g*r), both sides times q
+    n, m = e * B + f * q, g * B + h * q
+    # times (m - g*r): the coefficient of r is e*m - n*g = q*(e*h - f*g) = ±q
+    P, s, Q = n * m - e * g * disc, e * m - n * g, m * m - g * g * disc
+    if s < 0:
+        P, s, Q = -P, -s, -Q
+    return canonicalize(P, disc * s * s, Q)
+
+
 # --- units -------------------------------------------------------------------
 
 
@@ -429,7 +449,7 @@ class RewriteSystem:
         for lhs, rhs in self.rules:
             if not lhs:
                 raise ValueError("empty left-hand side")
-            for w in rhs.terms():
+            for w, _ in rhs.terms:
                 if _deglex(w) >= _deglex(lhs):
                     raise ValueError(f"rule {lhs} -> {rhs} does not decrease the order")
 
@@ -453,10 +473,10 @@ def u_infinity_system() -> RewriteSystem:
 def _rewrite(work: NCPoly, w: str, pos: int, lhs: str, rhs: NCPoly) -> NCPoly:
     """work with its term in w rewritten at the match of lhs at pos: c*w
     becomes c * prefix * rhs * suffix."""
-    terms = work.terms()
+    terms = dict(work.terms)
     c = terms.pop(w)
     pre, suf = w[:pos], w[pos + len(lhs):]
-    return NCPoly([*terms.items(), *((pre + v + suf, c * d) for v, d in rhs.terms().items())])
+    return NCPoly([*terms.items(), *((pre + v + suf, c * d) for v, d in rhs.terms)])
 
 
 def reduce(f: NCPoly, rs: RewriteSystem) -> NCPoly:
@@ -467,7 +487,7 @@ def reduce(f: NCPoly, rs: RewriteSystem) -> NCPoly:
     work = f
     while True:
         target = None
-        for w in sorted(work.terms(), key=_deglex, reverse=True):
+        for w in sorted(dict(work.terms), key=_deglex, reverse=True):
             m = rs.leftmost_match(w)
             if m is not None:
                 target = (w, m)
@@ -485,7 +505,7 @@ def reduce_rightmost(f: NCPoly, rs: RewriteSystem) -> NCPoly:
     work = f
     while True:
         target = None
-        for w in sorted(work.terms(), key=_deglex):
+        for w in sorted(dict(work.terms), key=_deglex):
             best = None
             for idx, (lhs, _) in enumerate(rs.rules):
                 pos = w.rfind(lhs)

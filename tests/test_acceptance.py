@@ -13,6 +13,7 @@ import time
 from contextlib import redirect_stdout
 
 from reference import (
+    cf_value,
     conv_mul,
     conv_star,
     count_points_naive,
@@ -38,7 +39,7 @@ from rmtorus.intmat import (
     mat_trace,
     matrix_A,
 )
-from rmtorus.quadratic import canonicalize, cf_expand, cf_value
+from rmtorus.quadratic import canonicalize, cf_expand
 from rmtorus.skewlaurent import (
     check_star_coherent,
     skew_mul,

@@ -574,6 +574,6 @@ class TestLongPeriods:
         assert (code, err) == (0, "")
         for module in (quadratic, units):
             monkeypatch.setattr(module, "_expand_cycle", lambda t: expand_cycle_by_dict(t)[:2])
-        for module in (quadratic, units, cli):
+        for module in (units, cli):
             monkeypatch.setattr(module, "matrix_A", fold_matrix_A)
         assert run_cli(cmd, "--", theta) == (0, out, "")

@@ -48,6 +48,8 @@ CASES = [
     ["frobnicate"],
     # exit 3: the search cap, before any output and after a first curve's
     ["pi", "--p", "3", "--cap", "2", "--", "-1,2,1"],
+    # p - 1 = 2*1031*1033 stays composite after trial division: Pollard-Brent splits it
+    ["pi", "--p", "2130047", "--cap", "10", "--", "-1,2,1"],
     ["match", "--curve=1,1", "--curves-file", CURVES_FILE, "--primes", "5,31", "--cap", "3", "--", "-1,2,1"],
     # exit 2 on every interpreter: Fraction takes digit-group underscores from 3.11 on
     ["star-check", "--p", "1_0,0", "--q", "0,0"],

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from reference import (
+    cf_value,
     expand_cycle_by_dict,
     oracle_quotients,
     primitive_triple,
@@ -16,7 +17,6 @@ from rmtorus.quadratic import (
     _expand_cycle,
     canonicalize,
     cf_expand,
-    cf_value,
 )
 
 
@@ -228,6 +228,8 @@ class TestFloor:
 
 
 class TestValue:
+    """The round-trip oracle cf_value of tests/reference.py, checked on its own."""
+
     def test_single_entry_periods_closed_form(self):
         # tail of period (k) solves y = k + 1/y, i.e. y = (k + sqrt(k^2+4))/2
         for k in range(1, 10):

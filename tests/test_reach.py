@@ -24,24 +24,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "rmtorus"
 
 # module.qualname -> why it stays although no case reaches it
+BENCHMARK_NAME = "rmbench/spans.py wraps it by name; only a change to the benchmark (ROADMAP item 1) may delete it"
 ALLOWED = {
     "cli.entry": "the console script `rmtorus` of pyproject.toml",
-    "ecpoints.match_curve": "rmbench/spans.py traces it by name",
-    "intmat.mat_pow": "rmbench/spans.py traces it by name",
-    "units._pollard_brent": "splits what trial division leaves composite; no golden prime needs it",
-    "quadratic.cf_value": "the exact inverse of cf_expand that the README documents",
-    "freealg.nc_mul": "the product of the free algebra, which star_image reverses",
-    "freealg.NCPoly.terms": "the one public reader of a polynomial's coefficients",
-    "freealg.NCPoly.__add__": "value dunder: the free algebra's addition",
-    "freealg.NCPoly.__neg__": "value dunder: the free algebra's negation",
-    "freealg.NCPoly.__sub__": "value dunder: the free algebra's subtraction",
-    "freealg.NCPoly.__eq__": "value dunder: equality of polynomials",
-    "freealg.NCPoly.__hash__": "value dunder: consistent with __eq__",
+    "ecpoints.match_curve": BENCHMARK_NAME,
+    "intmat.mat_pow": BENCHMARK_NAME,
     "skewlaurent.SkewPoly.__eq__": "value dunder: equality of skew polynomials",
     "skewlaurent.SkewPoly.__hash__": "value dunder: consistent with __eq__",
-    "quadratic.QuadraticIrrational.__str__": "value dunder: printing",
-    "intmat.IMat2.__str__": "value dunder: printing",
-    "intmat.AbelianGroup.__str__": "value dunder: printing",
     "value.Value.__repr__": "value dunder: printing",
     "value.Value.__hash__": "value dunder: consistent with __eq__",
     "value.Value.__setattr__": "value dunder: values are immutable",

@@ -12,6 +12,7 @@ from types import ModuleType
 
 import pytest
 
+import mutants
 import rmtorus
 from rmtorus.cli import main
 from rmtorus.intmat import AbelianGroup, IMat2
@@ -78,3 +79,8 @@ def test_library_example():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert exported == {name.strip() for name in imported.split(",") if name.strip()}
+
+
+def test_mutant_count_is_current():
+    killed, total = re.search(r"(\d+) of (\d+) today", README).groups()
+    assert int(killed) == int(total) == len(mutants.MUTANTS)

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from rmtorus.ecpoints import Curve, Fingerprint
+from rmtorus.freealg import NCPoly
 from rmtorus.intmat import AbelianGroup, IMat2
 from rmtorus.quadratic import ContinuedFraction, QuadraticIrrational, canonicalize
 from rmtorus.skewlaurent import AffineAut, UPoly
@@ -26,6 +27,7 @@ SAME_NUMBERS = [
     ContinuedFraction((1,), (2,)),
     SubOrder(THETA, 2),
     UPoly((Fraction(1), Fraction(2))),
+    NCPoly({"1": 2}),
 ]
 
 # the validated types, each with an equal twin built separately
@@ -36,6 +38,7 @@ VALIDATED = [
     (ContinuedFraction([1], [2]), ContinuedFraction((1,), (2,))),
     (SubOrder(THETA, 2), SubOrder(canonicalize(1, 5, 2), 2)),
     (UPoly((Fraction(1), Fraction(2))), UPoly((1, 2))),
+    (NCPoly({"12": 1, "2": Fraction(1, 2)}), NCPoly([("2", 1), ("12", 1), ("2", Fraction(-1, 2))])),
 ]
 
 
@@ -74,6 +77,7 @@ def test_repr_names_the_fields():
     assert repr(Curve(1, 2)) == "Curve(a=1, b=2)"
     assert repr(THETA) == "QuadraticIrrational(P=1, D=5, Q=2)"
     assert repr(AbelianGroup(1, 2)) == "AbelianGroup(d1=1, d2=2)"
+    assert repr(NCPoly({"2": 3})) == "NCPoly(terms=(('2', Fraction(3, 1)),))"
 
 
 def test_checks_run_on_construction():
@@ -89,3 +93,5 @@ def test_checks_run_on_construction():
         AffineAut(0, 1)
     with pytest.raises(ValueError, match="must divide"):
         AbelianGroup(2, 3)
+    with pytest.raises(ValueError, match="outside"):
+        NCPoly({"x1": 1})
